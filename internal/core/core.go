@@ -254,6 +254,10 @@ func (c *Core) Halted() bool { return c.halted }
 // Stats returns a copy of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
 
+// Committed returns the committed-instruction count (the one counter the
+// engine reads on every pacing step, without copying the rest).
+func (c *Core) Committed() uint64 { return c.stats.Committed }
+
 // L1I and L1D expose the caches for stats and tests.
 func (c *Core) L1I() *cache.Cache { return c.l1i }
 

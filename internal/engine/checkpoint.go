@@ -48,109 +48,99 @@ type globalSnapshot struct {
 	words     int64
 }
 
-// takeCheckpoint captures the current simulation state, replacing the
-// previous checkpoint (old checkpoints are discarded as the paper does to
-// release resources).
+// capture copies the simulation state into the machine's pooled snapshot
+// graph, replacing the previous checkpoint (old checkpoints are discarded
+// as the paper does to release resources). The reference path, and the
+// first checkpoint of the incremental path, deep-copy every component;
+// later incremental boundaries copy only dirty component state. Every
+// boundary recycles the same backing arrays and component snapshots. The
+// synchronization controller, the violation detector and the engine-level
+// slices copy in place at every boundary — their state is tiny and has no
+// single mutation funnel to track. The caller must have the machine
+// quiesced (the parallel host holds every active core parked under mu).
 //
 //slacksim:hotpath
-func (r *detRun) takeCheckpoint() {
-	incremental := !r.cfg.DeepCheckpoint
-	if r.snap == nil || !incremental {
-		r.snap = r.fullSnapshot()
-		if incremental {
-			// From now on every boundary needs only the dirty state.
-			r.m.startTracking()
+func (g *manager) capture() *globalSnapshot {
+	m := g.m
+	s := m.snapGraph()
+	s.global = g.global
+	s.bound = g.bound
+	s.lastAdapt = g.lastAdapt
+	s.gq = append(s.gq[:0], g.gq...)
+	if g.snap == nil || g.cfg.DeepCheckpoint {
+		m.unc.SnapshotInto(s.unc)
+		m.mem.SnapshotInto(s.mem)
+		m.sync.SnapshotInto(s.sync)
+		for i, c := range m.cores {
+			c.SnapshotInto(s.cores[i])
+		}
+		if !g.cfg.DeepCheckpoint {
+			// From now on every boundary needs only the dirty state. On the
+			// parallel host the track flags are published to the parked core
+			// goroutines by mu.
+			m.startTracking()
 		}
 	} else {
-		r.syncCheckpoint(r.snap)
+		m.unc.SyncSnapshot(s.unc)
+		m.mem.SyncSnapshot(s.mem)
+		m.sync.SyncSnapshot(s.sync)
+		for i, c := range m.cores {
+			c.SyncSnapshot(s.cores[i])
+		}
 	}
-	s := r.snap
-
+	m.det.CopyInto(s.det)
+	if g.ctrl == nil {
+		s.ctrl = nil
+	} else if s.ctrl == nil {
+		s.ctrl = g.ctrl.Snapshot()
+	} else {
+		s.ctrl.Restore(g.ctrl)
+	}
+	for i := range m.inQs {
+		s.inQs[i] = m.inQs[i].SnapshotInto(s.inQs[i])
+		s.outs[i] = m.outQs[i].SnapshotInto(s.outs[i])
+	}
 	// Checkpoint words are computed from the same formulas on both paths
 	// (the synced snapshot's lengths equal the live machine's), keeping
 	// HostWorkUnits — and therefore Results — identical.
-	words := int64(r.m.mem.AllocatedWords() + r.m.unc.StateWords())
+	s.words = int64(m.mem.AllocatedWords() + m.unc.StateWords())
 	for _, cs := range s.cores {
-		words += int64(cs.StateWords())
+		s.words += int64(cs.StateWords())
 	}
-	s.words = words
-	r.ckpts++
-	r.ckptWords += words
-	r.meter.ckptWords += words
-	if r.cfg.MemRecorder != nil {
-		// Mark the retire streams so a rollback can truncate exactly the
-		// state the engine restore discards.
-		r.cfg.MemRecorder.Checkpoint()
-	}
-	if r.cfg.Tracer.Enabled() {
-		r.cfg.Tracer.Addf(r.global, -1, trace.Checkpoint, "#%d words=%d", r.ckpts, words)
-	}
+	g.snap = s
+	return s
 }
 
-// fullSnapshot deep-copies everything (the reference path, and the first
-// checkpoint of the incremental path) into the machine's pooled snapshot
-// graph: every boundary recycles the same backing arrays and component
-// snapshots instead of rebuilding the graph from scratch.
-func (r *detRun) fullSnapshot() *globalSnapshot {
-	s := r.m.snapGraph()
-	s.global = r.global
-	s.bound = r.bound
-	s.retired = append(s.retired[:0], r.retired...)
-	s.lastAdapt = r.lastAdapt
-	s.gq = append(s.gq[:0], r.gq...)
-	r.m.unc.SnapshotInto(s.unc)
-	r.m.mem.SnapshotInto(s.mem)
-	r.m.sync.SnapshotInto(s.sync)
-	r.m.det.CopyInto(s.det)
-	if r.ctrl == nil {
-		s.ctrl = nil
-	} else if s.ctrl == nil {
-		s.ctrl = r.ctrl.Snapshot()
-	} else {
-		s.ctrl.Restore(r.ctrl)
+// takeCheckpoint captures the state and charges the checkpoint: the copies
+// are made for real so the host-side overhead is real, and the words feed
+// the cost model's simulated fork cost. Without rollback the snapshot is
+// simply never restored, exactly like the paper's Table 2 runs where
+// "checkpoints always succeed".
+//
+//slacksim:hotpath
+func (g *manager) takeCheckpoint() *globalSnapshot {
+	s := g.capture()
+	g.ckpts++
+	g.ckptWords += s.words
+	g.meter.ckptWords += s.words
+	if g.cfg.MemRecorder != nil {
+		// Mark the retire streams so a rollback can truncate exactly the
+		// state the engine restore discards.
+		g.cfg.MemRecorder.Checkpoint()
 	}
-	for i, c := range r.m.cores {
-		c.SnapshotInto(s.cores[i])
-	}
-	for i := range r.m.inQs {
-		s.inQs[i] = r.m.inQs[i].SnapshotInto(s.inQs[i])
-		s.outs[i] = r.m.outQs[i].SnapshotInto(s.outs[i])
+	if g.cfg.Tracer.Enabled() {
+		g.cfg.Tracer.Addf(g.global, -1, trace.Checkpoint, "ckpt %d (%d words)", g.ckpts, s.words)
 	}
 	return s
 }
 
-// syncCheckpoint brings the evolving snapshot up to date by copying only
-// dirty component state; engine-level slices are small and refreshed into
-// reused backing arrays. The synchronization controller and the violation
-// detector copy in place, reusing the snapshot's maps — their state is
-// tiny and has no single mutation funnel to track, so the whole state is
-// the copy set at every boundary.
+// checkpoint is the deterministic driver's takeCheckpoint: the retired
+// mask is driver state, so the driver adds it to the image.
 //
 //slacksim:hotpath
-func (r *detRun) syncCheckpoint(s *globalSnapshot) {
-	s.global = r.global
-	s.bound = r.bound
+func (r *detRun) checkpoint() {
+	s := r.takeCheckpoint()
 	s.retired = append(s.retired[:0], r.retired...)
-	s.lastAdapt = r.lastAdapt
-	s.gq = append(s.gq[:0], r.gq...)
-	r.m.unc.SyncSnapshot(s.unc)
-	r.m.mem.SyncSnapshot(s.mem)
-	r.m.sync.SyncSnapshot(s.sync)
-	r.m.det.CopyInto(s.det)
-	if r.ctrl != nil {
-		if s.ctrl == nil {
-			s.ctrl = r.ctrl.Snapshot()
-		} else {
-			s.ctrl.Restore(r.ctrl)
-		}
-	}
-	for i, c := range r.m.cores {
-		c.SyncSnapshot(s.cores[i])
-	}
-	for i := range r.m.inQs {
-		s.inQs[i] = r.m.inQs[i].SnapshotInto(s.inQs[i])
-		s.outs[i] = r.m.outQs[i].SnapshotInto(s.outs[i])
-	}
 }
 
 // doRollback restores the last checkpoint and enters cycle-by-cycle replay

@@ -22,8 +22,7 @@ func newParkedRun(t *testing.T, cores int) (*parRun, *sync.WaitGroup) {
 	t.Helper()
 	m := newTestMachine(t, workload.NewPrivate(4, 1), cores)
 	r := &parRun{
-		m:         m,
-		cfg:       RunConfig{Scheme: CycleByCycle()}.withDefaults(),
+		manager:   manager{m: m, cfg: RunConfig{Scheme: CycleByCycle()}.withDefaults()},
 		localTime: make([]atomic.Int64, cores),
 		maxLocal:  make([]atomic.Int64, cores),
 		committed: make([]atomic.Uint64, cores),

@@ -198,7 +198,7 @@ func (m *Machine) startTracking() {
 func (m *Machine) committed() uint64 {
 	var n uint64
 	for _, c := range m.cores {
-		n += c.Stats().Committed
+		n += c.Committed()
 	}
 	return n
 }

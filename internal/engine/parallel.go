@@ -4,15 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"slacksim/internal/adaptive"
-	"slacksim/internal/event"
-	"slacksim/internal/trace"
-	"slacksim/internal/violation"
 )
 
 // p2pState is one core thread's Lax-P2P bookkeeping (owned by that
@@ -24,13 +18,15 @@ type p2pState struct {
 	blocked bool
 }
 
-// parRun is the state of one goroutine-parallel run: one goroutine per
+// parRun is the goroutine-parallel host's driver: one goroutine per
 // target core plus the simulation manager goroutine, mirroring the paper's
 // Pthreads architecture (a simulation of an 8-core target is nine host
 // threads). Pacing uses the paper's protocol: each core thread owns a
 // local time it may advance while it stays below its max local time; the
-// manager recomputes the global time (the minimum local time) and raises
-// the max local times according to the scheme.
+// manager goroutine observes the clocks, runs the shared manager step over
+// them, and raises the max local times. The driver owns what only this
+// host has — the goroutines, the eventcount pacer, quiesce-at-boundary and
+// the stall watchdog.
 //
 // Memory-model contract (the invariants the pacing protocol relies on).
 // Pacing is an eventcount (epoch/atomic) protocol: the fast path is
@@ -43,6 +39,18 @@ type p2pState struct {
 //     atomics; maxLocal[i] is written only by the manager (and once at
 //     startup before the core goroutines exist) and read by core i.
 //     All are Go atomics, which are sequentially consistent.
+//   - Clock publication order (what makes cc cycle-exact). A core
+//     publishes a tick as: out-queue pushes (inside Tick), then
+//     retired[i] if the tick halted it, then localTime[i]. The manager
+//     observes in the mirror order: localTime[i], then retired[i], for
+//     every core, and only then drains the out-queues. Two invariants
+//     follow. (1) Observe before drain: a request stamped below the
+//     observed minimum was pushed before its core stored the clock the
+//     manager read, so the drain that follows finds it and the pass that
+//     serves its timestamp arbitrates it with its same-timestamp peers.
+//     (2) Retired first, read last: an observation that sees a halted
+//     core's post-halt clock also sees retired[i], so that clock is
+//     never counted as an active local time and Cycles cannot end late.
 //   - stop is sticky: it transitions false→true exactly once.
 //   - A publication (any write that can unpark a core: raising
 //     maxLocal[i], or setting stop) is: store the state atomically, bump
@@ -62,12 +70,12 @@ type p2pState struct {
 //     holds mu or is blocked in cond.Wait. The manager's checkpoint
 //     quiesce reads it under mu, which also blocks parked cores from
 //     resuming mid-inspection (they must reacquire mu to leave Wait).
-//   - global is owned by the manager goroutine; globalNow mirrors it for
-//     the watchdog. gqDepth mirrors the pending-request count the same
-//     way.
+//   - The embedded manager (global, gq, meter, ...) is owned by the
+//     manager goroutine; core goroutines only read its m and cfg, which
+//     are immutable during the run. globalNow and gqDepth mirror global
+//     and the pending-request count for the watchdog.
 type parRun struct {
-	m   *Machine
-	cfg RunConfig
+	manager
 
 	localTime []atomic.Int64
 	maxLocal  []atomic.Int64
@@ -98,66 +106,12 @@ type parRun struct {
 
 	suspensions atomic.Uint64
 
-	// gq holds pending requests for eager servicing and doubles as the
-	// reused collection scratch for conservative servicing, where the
-	// pending set itself lives in bands (bucketed by timestamp band, so
-	// each service pass touches only the requests at the horizon instead
-	// of sorting the whole backlog).
-	gq      []pendingReq
-	bands   *event.Bands[pendingReq]
-	arrival uint64
-	meter   costMeter
-	global  int64
-	prog    *progressNotifier
-
-	// globalNow and gqDepth mirror global and len(gq) for the watchdog;
-	// stallErr is published by the watchdog before it force-stops the run.
+	// globalNow and gqDepth mirror the manager's global and len(gq) for the
+	// watchdog; stallErr is published by the watchdog before it force-stops
+	// the run.
 	globalNow atomic.Int64
 	gqDepth   atomic.Int64
 	stallErr  atomic.Pointer[StallError]
-
-	ctrl      *adaptive.Controller
-	bound     int64
-	lastAdapt int64
-
-	nextCkpt  int64
-	ckpts     int
-	ckptWords int64
-
-	// ckptInit records that the first checkpoint populated the machine's
-	// pooled snapshot graph (subsequent incremental boundaries sync only
-	// the dirty state into it); drainBuf is reused merge scratch.
-	ckptInit bool
-	drainBuf []event.Request
-}
-
-// gqBandShift sets the banded pending queue's granularity (1<<shift
-// cycles per band): small enough that a conservative service pass filters
-// at most one boundary band, large enough that the window stays a handful
-// of bands under CC pacing.
-const gqBandShift = 4
-
-// sortPending orders queued requests by (timestamp, core, arrival), the
-// target machine's arbitration order used for conservative servicing.
-func sortPending(gq []pendingReq) {
-	slices.SortFunc(gq, func(pa, pb pendingReq) int {
-		if pa.req.TS != pb.req.TS {
-			if pa.req.TS < pb.req.TS {
-				return -1
-			}
-			return 1
-		}
-		if pa.req.Core != pb.req.Core {
-			return pa.req.Core - pb.req.Core
-		}
-		if pa.arr != pb.arr {
-			if pa.arr < pb.arr {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
 }
 
 // RunParallel simulates the machine under cfg with the goroutine host and
@@ -165,61 +119,29 @@ func sortPending(gq []pendingReq) {
 // host (the paper likewise evaluates speculation analytically on top of
 // measured checkpointing overhead); periodic checkpointing is supported.
 func RunParallel(m *Machine, cfg RunConfig) (Results, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
 	if cfg.Rollback {
 		return Results{}, fmt.Errorf("engine: rollback is only supported on the deterministic host")
 	}
 	if cfg.Sampling != nil {
 		return Results{}, fmt.Errorf("engine: sampling is only supported on the deterministic host")
 	}
+	mgr, err := newManager(m, cfg)
+	if err != nil {
+		return Results{}, err
+	}
 	n := m.NumCores()
 	r := &parRun{
-		m:         m,
-		cfg:       cfg,
+		manager:   mgr,
 		localTime: make([]atomic.Int64, n),
 		maxLocal:  make([]atomic.Int64, n),
 		committed: make([]atomic.Uint64, n),
 		retired:   make([]atomic.Bool, n),
 		parked:    make([]bool, n),
 		kick:      make(chan struct{}, 1),
-		bound:     cfg.Scheme.Bound,
-		prog:      newProgressNotifier(cfg),
 		interrupt: cfg.Interrupt,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	if cfg.Scheme.conservative() {
-		r.bands = event.NewBands[pendingReq](gqBandShift)
-	}
-	if cfg.Scheme.Kind == Adaptive {
-		ctrl, err := adaptive.New(cfg.Scheme.Adaptive)
-		if err != nil {
-			return Results{}, err
-		}
-		ctrl.SetPolicy(cfg.AdaptivePolicy)
-		r.ctrl = ctrl
-		r.bound = ctrl.Bound()
-	}
-	if len(cfg.TrackIntervals) > 0 {
-		m.Detector().TrackIntervals(cfg.TrackIntervals...)
-	}
-	if len(cfg.Selected) > 0 {
-		m.Detector().Select(cfg.Selected...)
-	}
-	if cfg.CheckpointInterval > 0 {
-		r.nextCkpt = cfg.CheckpointInterval
-	}
-	// The event ring is written only by the manager goroutine (uncore
-	// services and manager-side events); it is read again only after the
-	// run's goroutines have joined, so no locking is needed.
-	m.unc.SetTracer(cfg.Tracer)
-	setRecorders(m, cfg)
-	ml := r.maxLocalNow()
-	for i := 0; i < n; i++ {
-		r.maxLocal[i].Store(ml)
-	}
+	r.raiseWalls()
 
 	start := time.Now() //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
 	var wg sync.WaitGroup
@@ -231,7 +153,7 @@ func RunParallel(m *Machine, cfg RunConfig) (Results, error) {
 		}(i)
 	}
 	var wdDone chan struct{}
-	if cfg.StallTimeout > 0 {
+	if r.cfg.StallTimeout > 0 {
 		wdDone = make(chan struct{})
 		go r.watchdog(wdDone)
 	}
@@ -256,10 +178,12 @@ func RunParallel(m *Machine, cfg RunConfig) (Results, error) {
 		return Results{}, ErrInterrupted
 	}
 	// Trailing work issued just before the cores stopped.
-	r.drainAll()
-	r.recomputeGlobal()
-	r.serviceAll()
-	return r.results(time.Since(start)), nil //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
+	r.flush(r.observe())
+	r.meter.suspensions = r.suspensions.Load()
+	for _, c := range m.cores {
+		r.meter.coreCycles += c.Stats().Cycles
+	}
+	return r.results("parallel", time.Since(start)), nil //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
 }
 
 // shutdown raises stop and wakes every parked core. Shutdown is rare, so
@@ -291,20 +215,6 @@ func (r *parRun) publish() {
 	r.mu.Lock()
 	r.cond.Broadcast()
 	r.mu.Unlock()
-}
-
-// maxLocalNow computes the scheme's current max local time, clamped to
-// the simulation horizon (MaxCycles) and the next checkpoint boundary so
-// no core thread can ever tick past either wall.
-func (r *parRun) maxLocalNow() int64 {
-	ml := maxLocalFor(r.cfg.Scheme.Kind, r.global, r.bound, r.cfg.Scheme.Quantum)
-	if ml > r.cfg.MaxCycles {
-		ml = r.cfg.MaxCycles
-	}
-	if r.nextCkpt > 0 && ml > r.nextCkpt {
-		ml = r.nextCkpt
-	}
-	return ml
 }
 
 // kickManager wakes the manager without blocking the core.
@@ -405,15 +315,21 @@ func (r *parRun) coreLoop(i int) {
 		if c.Now() < r.maxLocal[i].Load() {
 			before := r.m.outQs[i].Len()
 			c.Tick()
-			r.localTime[i].Store(c.Now())
-			r.committed[i].Store(c.Stats().Committed)
-			if r.m.outQs[i].Len() > before {
-				r.kickManager()
-			}
-			if c.Halted() {
+			// Publication order (see the memory-model contract): the
+			// tick's requests are already in the out-queue, retired goes
+			// before the post-halt clock, the clock goes last.
+			halted := c.Halted()
+			if halted {
 				r.retired[i].Store(true)
+			}
+			r.committed[i].Store(c.Committed())
+			r.localTime[i].Store(c.Now())
+			if halted {
 				r.kickManager()
 				return
+			}
+			if r.m.outQs[i].Len() > before {
+				r.kickManager()
 			}
 			continue
 		}
@@ -453,9 +369,9 @@ func (r *parRun) p2pGate(i int, now int64, s *p2pState) bool {
 	return true
 }
 
-// managerLoop consolidates OutQ entries into the GQ, services them,
-// maintains the global time, paces the cores, runs the adaptive
-// controller, and takes checkpoints at boundaries.
+// managerLoop is the manager goroutine: each pass observes the clocks,
+// runs the shared manager step over that observation, takes the checkpoint
+// once the machine has quiesced at a boundary, and raises the walls.
 func (r *parRun) managerLoop() {
 	for {
 		<-r.kick
@@ -465,38 +381,57 @@ func (r *parRun) managerLoop() {
 			return
 		}
 		for {
-			r.drainAll()
-			r.recomputeGlobal()
-			r.service()
-			r.adapt()
-			r.prog.maybe(r.global, r.committedNow(), r.progress())
-			if r.stop.Load() || r.interruptedNow() || r.doneNow() {
+			o := r.observe()
+			r.step(o)
+			r.globalNow.Store(r.global)
+			r.gqDepth.Store(int64(len(r.gq)))
+			if r.stop.Load() || r.interruptedNow() || r.done(o) {
 				r.shutdown()
 				return
 			}
-			if r.nextCkpt > 0 && r.global == r.nextCkpt && !r.tryCheckpoint() {
-				// Wait for the stragglers to park at the boundary.
+			if r.nextCkpt > 0 && r.global == r.nextCkpt {
+				// A false return means stragglers have yet to park at the
+				// boundary; their park kicks the manager again.
+				r.tryCheckpoint()
 			}
-			// Raise the max local times: lock-free stores followed by one
-			// publication. Spinning cores observe the stores directly; a
-			// core headed for the slow path re-tests them before blocking
-			// (see the memory-model contract), so no mu is taken here
-			// unless a waiter is actually parked.
-			ml := r.maxLocalNow()
-			changed := false
-			for i := range r.maxLocal {
-				if r.maxLocal[i].Load() != ml {
-					r.maxLocal[i].Store(ml)
-					changed = true
-				}
-			}
-			if changed {
-				r.publish()
-			}
+			r.raiseWalls()
 			if r.quietQueues() {
 				break
 			}
 		}
+	}
+}
+
+// observe reads the clocks the core goroutines publish. Per core the
+// local time is read before the retired flag — the mirror image of
+// coreLoop's publication order (see the memory-model contract) — so a
+// halted core's post-halt clock is never counted as active.
+func (r *parRun) observe() observation {
+	o := observation{min: -1}
+	for i := range r.localTime {
+		now := r.localTime[i].Load()
+		committed := r.committed[i].Load()
+		o.add(now, committed, r.retired[i].Load())
+	}
+	return o
+}
+
+// raiseWalls sets every core's max local time to the manager's current
+// wall: lock-free stores followed by one publication. Spinning cores
+// observe the stores directly; a core headed for the slow path re-tests
+// them before blocking (see the memory-model contract), so no mu is taken
+// unless a waiter is actually parked.
+func (r *parRun) raiseWalls() {
+	ml := r.maxLocalTime()
+	changed := false
+	for i := range r.maxLocal {
+		if r.maxLocal[i].Load() != ml {
+			r.maxLocal[i].Store(ml)
+			changed = true
+		}
+	}
+	if changed {
+		r.publish()
 	}
 }
 
@@ -509,7 +444,6 @@ func (r *parRun) quietQueues() bool {
 	return true
 }
 
-// committedNow sums the per-core committed-instruction mirrors.
 // interruptedNow reports whether the run's cancellation flag is raised.
 // It reads the cached pointer, never r.cfg, so core goroutines can poll
 // it without touching the (non-atomic) config struct.
@@ -517,147 +451,9 @@ func (r *parRun) interruptedNow() bool {
 	return r.interrupt != nil && r.interrupt.Load()
 }
 
-func (r *parRun) committedNow() uint64 {
-	var n uint64
-	for i := range r.committed {
-		n += r.committed[i].Load()
-	}
-	return n
-}
-
-func (r *parRun) doneNow() bool {
-	if r.global >= r.cfg.MaxCycles {
-		return true
-	}
-	if r.cfg.MaxInstructions > 0 && r.committedNow() >= r.cfg.MaxInstructions {
-		return true
-	}
-	for i := range r.retired {
-		if !r.retired[i].Load() {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *parRun) recomputeGlobal() {
-	min := int64(-1)
-	for i := range r.localTime {
-		if r.retired[i].Load() {
-			continue
-		}
-		t := r.localTime[i].Load()
-		if min < 0 || t < min {
-			min = t
-		}
-	}
-	if min >= 0 {
-		r.global = min
-		r.globalNow.Store(min)
-	}
-}
-
-//slacksim:hotpath
-func (r *parRun) drainAll() {
-	for i := range r.m.outQs {
-		r.drainBuf = r.m.outQs[i].DrainInto(r.drainBuf[:0])
-		for _, req := range r.drainBuf {
-			r.arrival++
-			if r.bands != nil {
-				r.bands.Add(req.TS, pendingReq{req: req, arr: r.arrival})
-			} else {
-				r.gq = append(r.gq, pendingReq{req: req, arr: r.arrival}) //lint:allow hotpathalloc -- gq's backing array is reused across boundaries (truncated to gq[:0] by service); growth is amortized
-			}
-		}
-	}
-	r.gqDepth.Store(int64(r.pendingLen()))
-}
-
-// pendingLen is the number of unserviced requests (banded or flat).
-func (r *parRun) pendingLen() int {
-	if r.bands != nil {
-		return r.bands.Len()
-	}
-	return len(r.gq)
-}
-
-func (r *parRun) service() {
-	if r.cfg.Scheme.conservative() {
-		r.serviceConservative(r.global)
-		return
-	}
-	for _, p := range r.gq {
-		r.serveOne(p.req)
-	}
-	r.gq = r.gq[:0]
-	r.gqDepth.Store(0)
-}
-
-// serviceConservative serves every pending request with TS < safeTime in
-// the target's arbitration order. The pending set lives in time bands, so
-// the collection touches only the requests at the horizon and the sort
-// runs over exactly the batch being served — the far future is never
-// scanned. The served sequence is identical to sorting the whole backlog
-// and serving the prefix: TakeBelow returns exactly the set {TS <
-// safeTime}, and (TS, core, arrival) is a total order.
-func (r *parRun) serviceConservative(safeTime int64) {
-	r.gq = r.bands.TakeBelow(safeTime, r.gq[:0])
-	if len(r.gq) > 0 {
-		sortPending(r.gq)
-		for _, p := range r.gq {
-			r.serveOne(p.req)
-		}
-		r.gq = r.gq[:0]
-	}
-	r.gqDepth.Store(int64(r.bands.Len()))
-}
-
-func (r *parRun) serviceAll() {
-	if r.bands != nil {
-		r.serviceConservative(unboundedSentinel)
-		return
-	}
-	// Eager schemes keep a flat arrival-order gq; the trailing flush
-	// serves it in arbitration order, as before.
-	sortPending(r.gq)
-	for _, p := range r.gq {
-		r.serveOne(p.req)
-	}
-	r.gq = r.gq[:0]
-	r.gqDepth.Store(0)
-}
-
-func (r *parRun) serveOne(req event.Request) {
-	r.m.unc.Service(req)
-	r.meter.events++
-	if r.cfg.MeasureViolations {
-		r.meter.violChecked++
-	}
-}
-
-func (r *parRun) adapt() {
-	if r.ctrl == nil {
-		return
-	}
-	if r.global-r.lastAdapt < r.cfg.Scheme.Adaptive.Period {
-		return
-	}
-	r.lastAdapt = r.global
-	rate := r.m.det.Rate(r.global)
-	before := r.bound
-	r.bound = r.ctrl.Update(rate)
-	r.meter.adaptOps++
-	if r.bound != before && r.cfg.Tracer.Enabled() {
-		r.cfg.Tracer.Addf(r.global, -1, trace.BoundChange,
-			"rate=%.5f bound %d -> %d", rate, before, r.bound)
-	}
-}
-
-// tryCheckpoint quiesces the machine at a checkpoint boundary and takes a
-// global snapshot (the copies are made for real so the overhead is real;
-// without rollback the snapshot is dropped, exactly like the paper's
-// Table 2 runs where "checkpoints always succeed"). It returns false when
-// some active core has not parked at the boundary yet.
+// tryCheckpoint quiesces the machine at a checkpoint boundary and takes
+// the global checkpoint. It returns false when some active core has not
+// parked at the boundary yet.
 //
 //slacksim:hotpath
 func (r *parRun) tryCheckpoint() bool {
@@ -673,99 +469,9 @@ func (r *parRun) tryCheckpoint() bool {
 	}
 	// All active cores are parked exactly at the boundary, so their state
 	// is stable and the manager can copy it (the paper forks every
-	// thread's process here instead). The copies are made for real so the
-	// host-side overhead is real; checkpoint *words* (the simulated fork
-	// cost charged by the cost model) are computed from the same state
-	// sizes on both paths.
-	words := int64(r.m.mem.AllocatedWords() + r.m.unc.StateWords())
-	s := r.m.snapGraph()
-	if r.cfg.DeepCheckpoint || !r.ckptInit {
-		r.m.mem.SnapshotInto(s.mem)
-		r.m.unc.SnapshotInto(s.unc)
-		r.m.sync.SnapshotInto(s.sync)
-		for i, c := range r.m.cores {
-			c.SnapshotInto(s.cores[i])
-			words += int64(s.cores[i].StateWords())
-		}
-		if !r.cfg.DeepCheckpoint {
-			// First incremental checkpoint: subsequent boundaries sync only
-			// the dirty state into the pooled snapshot graph. The track
-			// flags are published to the parked core goroutines by mu.
-			r.m.startTracking()
-		}
-		r.ckptInit = true
-	} else {
-		r.m.mem.SyncSnapshot(s.mem)
-		r.m.unc.SyncSnapshot(s.unc)
-		r.m.sync.SyncSnapshot(s.sync)
-		for i, c := range r.m.cores {
-			c.SyncSnapshot(s.cores[i])
-			words += int64(s.cores[i].StateWords())
-		}
-	}
-	r.ckpts++
-	r.ckptWords += words
-	r.meter.ckptWords += words
-	if r.cfg.MemRecorder != nil {
-		// Every core is parked at the boundary, so the retire streams are
-		// stable and the marks are consistent with the snapshot.
-		r.cfg.MemRecorder.Checkpoint()
-	}
-	if r.cfg.Tracer.Enabled() {
-		r.cfg.Tracer.Addf(r.nextCkpt, -1, trace.Checkpoint, "ckpt %d (%d words)", r.ckpts, words)
-	}
+	// thread's process here instead) and the recorder's marks are
+	// consistent with the snapshot.
+	r.takeCheckpoint()
 	r.nextCkpt += r.cfg.CheckpointInterval
 	return true
-}
-
-// results assembles the Results for a finished parallel run.
-func (r *parRun) results(wall time.Duration) Results {
-	m := r.m
-	det := m.Detector()
-	r.meter.suspensions = r.suspensions.Load()
-	var coreCycles int64
-	for _, c := range m.cores {
-		coreCycles += c.Stats().Cycles
-	}
-	r.meter.coreCycles = coreCycles
-	res := Results{
-		Workload: m.WorkloadName(),
-		Scheme:   r.cfg.Scheme.Name(),
-		Host:     "parallel",
-
-		Cycles:    r.global,
-		Committed: m.committed(),
-
-		BusViolations:      det.Count(violation.Bus),
-		MapViolations:      det.Count(violation.Map),
-		WorkloadViolations: det.Count(violation.Workload),
-		ViolationRate:      det.Rate(r.global),
-		BusRate:            det.RateOf(violation.Bus, r.global),
-		MapRate:            det.RateOf(violation.Map, r.global),
-		Intervals:          det.Intervals(r.global),
-
-		HostWorkUnits: r.meter.total(),
-		WallClock:     wall,
-		Suspensions:   r.meter.suspensions,
-		EventsServed:  r.meter.events,
-
-		Checkpoints:     r.ckpts,
-		CheckpointWords: r.ckptWords,
-
-		LockAcquires:    m.Sync().Acquires,
-		LockContended:   m.Sync().Contended,
-		BarrierEpisodes: m.Sync().BarrierEpisodes,
-	}
-	for _, c := range m.cores {
-		res.PerCore = append(res.PerCore, c.Stats())
-	}
-	if res.Committed > 0 {
-		res.CPI = float64(res.Cycles) * float64(m.NumCores()) / float64(res.Committed)
-	}
-	if r.ctrl != nil {
-		res.FinalBound = r.ctrl.Bound()
-		res.MeanBound = r.ctrl.MeanBound()
-		res.Adjustments = r.ctrl.Adjustments
-	}
-	return res
 }

@@ -74,21 +74,6 @@ func (p *progressNotifier) maybe(global int64, committed, counter uint64) {
 	p.fn(Progress{Cycles: global, Committed: committed, Counter: counter})
 }
 
-// progressCounter is the deterministic host's analogue of the parallel
-// host's watchdog counter: the same formula over the same quantities, so
-// tests can assert the two hosts report comparable motion.
-func (r *detRun) progressCounter() uint64 {
-	var p uint64
-	for i, c := range r.m.cores {
-		p += uint64(c.Now())
-		p += c.Stats().Committed
-		if r.retired[i] {
-			p++
-		}
-	}
-	return p
-}
-
 // interrupted reports whether the external interrupt flag is raised.
 func (cfg RunConfig) interrupted() bool {
 	return cfg.Interrupt != nil && cfg.Interrupt.Load()

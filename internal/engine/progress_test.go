@@ -89,7 +89,7 @@ func TestProgressHookParallel(t *testing.T) {
 		t.Fatalf("RunParallel: %v", err)
 	}
 	checkMonotone(t, got)
-	// The parallel hook reports parRun.progress() verbatim — the same
+	// The parallel hook reports observation.counter() verbatim — the same
 	// counter the stall watchdog polls — so it can never exceed the
 	// machine's final motion, and a nonzero delivery proves the watchdog
 	// would have seen the same forward progress.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"slacksim/internal/adaptive"
-	"slacksim/internal/event"
 	"slacksim/internal/sampling"
 	"slacksim/internal/trace"
 	"slacksim/internal/violation"
@@ -167,28 +166,20 @@ func (cfg RunConfig) Validate() error {
 	return nil
 }
 
-type pendingReq struct {
-	req event.Request
-	arr uint64
-}
-
-// detRun is the state of one deterministic-host run.
+// detRun is the deterministic host's driver: a seeded scheduler that
+// reproducibly emulates host-thread interleaving around the shared
+// manager. It owns what only this host has — the scheduler and its drift
+// cap, the Lax-P2P gate, rollback and replay, interval sampling, and
+// snapshot export.
 type detRun struct {
-	m   *Machine
-	cfg RunConfig
+	manager
+
 	rng *rand.Rand
 	// rngSrc is rng's underlying source; its draw count is part of the
 	// exported run state (Resume fast-forwards a fresh source to it).
 	rngSrc *countingSource
 
-	ctrl  *adaptive.Controller
-	bound int64
-
 	retired []bool
-	global  int64
-
-	gq      []pendingReq
-	arrival uint64
 
 	// Lax-P2P state: the next pairwise sync point, the currently chosen
 	// partner (-1 = none), and whether the core is currently blocked at a
@@ -197,61 +188,37 @@ type detRun struct {
 	p2pPartner []int
 	p2pBlocked []bool
 
-	meter costMeter
-	prog  *progressNotifier
-
-	lastAdapt int64
-
-	// Reused scratch buffers (hot-path allocation elimination).
+	// runnable is reused scratch for nextCore.
 	runnable []int
-	drainBuf []event.Request
 
 	// Interval-sampling cursor (nil unless cfg.Sampling is set).
 	samp *sampleState
 
-	// Checkpoint/rollback state.
-	nextCkpt        int64
-	snap            *globalSnapshot
-	replayUntil     int64
-	pendingRollback bool
-	rollbacks       int
-	wasted          int64
-	replayed        int64
-	ckpts           int
-	ckptWords       int64
+	// Rollback statistics.
+	rollbacks int
+	wasted    int64
+	replayed  int64
 }
 
-// Run simulates the machine to completion under cfg on the deterministic
-// host and returns the results. The machine must be freshly built (a
-// machine cannot be reused across runs).
-func Run(m *Machine, cfg RunConfig) (Results, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
+// init sets the manager up and builds the deterministic driver around it.
+// The driver is initialized in place so that Run and Resume keep it on
+// their stack.
+func (r *detRun) init(m *Machine, cfg RunConfig) error {
+	mgr, err := newManager(m, cfg)
+	if err != nil {
+		return err
 	}
+	cfg = mgr.cfg
 	src := newCountingSource(cfg.Seed)
-	r := &detRun{
-		m:       m,
-		cfg:     cfg,
+	*r = detRun{
+		manager: mgr,
 		rng:     rand.New(src),
 		rngSrc:  src,
 		retired: make([]bool, m.NumCores()),
-		bound:   cfg.Scheme.Bound,
-		prog:    newProgressNotifier(cfg),
 	}
-	m.unc.SetTracer(cfg.Tracer)
-	setRecorders(m, cfg)
 	if cfg.Sampling != nil {
 		r.samp = newSampleState(*cfg.Sampling)
-	}
-	if cfg.Scheme.Kind == Adaptive {
-		ctrl, err := adaptive.New(cfg.Scheme.Adaptive)
-		if err != nil {
-			return Results{}, err
-		}
-		ctrl.SetPolicy(cfg.AdaptivePolicy)
-		r.ctrl = ctrl
-		r.bound = ctrl.Bound()
+		r.fastForward = !r.samp.detailed
 	}
 	if cfg.Scheme.Kind == LaxP2P {
 		r.p2pNext = make([]int64, m.NumCores())
@@ -262,25 +229,39 @@ func Run(m *Machine, cfg RunConfig) (Results, error) {
 			r.p2pPartner[i] = -1
 		}
 	}
-	if len(cfg.TrackIntervals) > 0 {
-		m.Detector().TrackIntervals(cfg.TrackIntervals...)
+	return nil
+}
+
+// Run simulates the machine to completion under cfg on the deterministic
+// host and returns the results. The machine must be freshly built or
+// freshly reset: a MachinePool recycles machines between runs.
+func Run(m *Machine, cfg RunConfig) (Results, error) {
+	var r detRun
+	if err := r.init(m, cfg); err != nil {
+		return Results{}, err
 	}
-	if len(cfg.Selected) > 0 {
-		m.Detector().Select(cfg.Selected...)
+	if r.cfg.Rollback {
+		// The initial state is the first recovery point, so a violation
+		// before the first boundary can still roll back.
+		r.checkpoint()
 	}
-	if cfg.CheckpointInterval > 0 {
-		r.nextCkpt = cfg.CheckpointInterval
-		if cfg.Rollback {
-			// The initial state is the first recovery point, so a
-			// violation before the first boundary can still roll back.
-			r.takeCheckpoint()
-		}
-	}
+	return r.run()
+}
+
+// run drives the loop to completion and assembles the results.
+func (r *detRun) run() (Results, error) {
 	start := time.Now() //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
 	if err := r.loop(); err != nil {
 		return Results{}, err
 	}
-	return r.results(time.Since(start)), nil //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
+	res := r.results("deterministic", time.Since(start)) //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
+	res.Rollbacks = r.rollbacks
+	res.WastedCycles = r.wasted
+	res.ReplayCycles = r.replayed
+	if r.samp != nil {
+		res.Sampling = r.samp.finish(r.global, res.Committed)
+	}
+	return res, nil
 }
 
 // MustRun is Run but panics on error.
@@ -292,78 +273,22 @@ func MustRun(m *Machine, cfg RunConfig) Results {
 	return res
 }
 
-// mode returns the effective scheme kind, accounting for cycle-by-cycle
-// replay after a rollback.
-func (r *detRun) mode() SchemeKind {
-	if r.replayUntil > 0 && r.global < r.replayUntil {
-		return CC
-	}
-	if r.samp != nil && !r.samp.detailed {
-		// Fast-forward interval: warmed functional mode (unbounded slack;
-		// the host drift cap still bounds core spread).
-		return Unbounded
-	}
-	return r.cfg.Scheme.Kind
-}
-
-// conservative reports whether the manager must currently service events
-// in timestamp order.
-func (r *detRun) conservative() bool { return r.mode() == CC }
-
-// maxLocal computes the current max local time shared by all cores
-// (every scheme here is symmetric), capped at the next checkpoint
-// boundary so a global checkpoint can be taken with all clocks equal.
-func (r *detRun) maxLocal() int64 {
-	ml := maxLocalFor(r.mode(), r.global, r.bound, r.cfg.Scheme.Quantum)
-	if ml > r.cfg.MaxCycles {
-		// Clamp to the simulation horizon, mirroring the parallel host, so
-		// no core's clock ever passes MaxCycles.
-		ml = r.cfg.MaxCycles
-	}
-	if r.nextCkpt > 0 && ml > r.nextCkpt {
-		ml = r.nextCkpt
-	}
-	return ml
-}
-
-func (r *detRun) done() bool {
-	if r.global >= r.cfg.MaxCycles {
-		return true
-	}
-	if r.cfg.MaxInstructions > 0 && r.m.committed() >= r.cfg.MaxInstructions {
-		return true
-	}
-	for i := range r.retired {
-		if !r.retired[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// recomputeGlobal sets global time to the minimum local time of active
-// cores (global never decreases except across a rollback restore).
-func (r *detRun) recomputeGlobal() {
-	min := int64(-1)
+// observe reads the core clocks (the host is single-threaded, so the
+// cores are read directly).
+func (r *detRun) observe() observation {
+	o := observation{min: -1}
 	for i, c := range r.m.cores {
-		if r.retired[i] {
-			continue
-		}
-		if min < 0 || c.Now() < min {
-			min = c.Now()
-		}
+		o.add(c.Now(), c.Committed(), r.retired[i])
 	}
-	if min >= 0 {
-		r.global = min
-	}
+	return o
 }
 
 func (r *detRun) loop() error {
-	for !r.done() {
+	for !r.done(r.observe()) {
 		if r.cfg.interrupted() {
 			return ErrInterrupted
 		}
-		ml := r.maxLocal()
+		ml := r.maxLocalTime()
 		pick := r.nextCore(ml)
 		if pick < 0 {
 			// Everyone is at the wall: either a checkpoint boundary or an
@@ -396,32 +321,22 @@ func (r *detRun) loop() error {
 			r.retired[pick] = true
 		}
 
-		r.drain(pick)
-		r.recomputeGlobal()
-		if err := r.service(); err != nil {
-			return err
-		}
-		r.prog.maybe(r.global, r.m.committed(), r.progressCounter())
+		r.step(r.observe())
 		if r.samp != nil {
 			r.sampleStep()
 		}
 		if r.pendingRollback {
-			// The paper's recipe: roll back as soon as the manager detects
-			// a selected violation.
 			r.doRollback()
 			continue
 		}
-		r.adapt()
 		if r.nextCkpt > 0 && r.global == r.nextCkpt && r.allAtBoundary() {
 			if err := r.atBoundary(); err != nil {
 				return err
 			}
 		}
 	}
-	// Final drain so trailing requests are reflected in stats.
-	r.drainAll()
-	r.recomputeGlobal()
-	return r.serviceAll()
+	r.flush(r.observe())
+	return nil
 }
 
 // nextCore picks a uniformly random core among those below both the
@@ -485,100 +400,6 @@ func (r *detRun) p2pClear(i int) bool {
 	return true
 }
 
-// drain moves requests from core i's OutQ into the manager's global queue
-// (GQ), preserving arrival order. One DrainInto into a reused buffer
-// replaces the per-item Pop loop (one lock, zero allocations).
-//
-//slacksim:hotpath
-func (r *detRun) drain(i int) {
-	r.drainBuf = r.m.outQs[i].DrainInto(r.drainBuf[:0])
-	for _, req := range r.drainBuf {
-		r.arrival++
-		r.gq = append(r.gq, pendingReq{req: req, arr: r.arrival}) //lint:allow hotpathalloc -- gq's backing array is reused across boundaries (truncated to gq[:0] by service); growth is amortized
-	}
-}
-
-func (r *detRun) drainAll() {
-	for i := range r.m.outQs {
-		r.drain(i)
-	}
-}
-
-// service runs the manager: eagerly in slack modes (arrival order), or
-// conservatively in CC mode (timestamp order, only events that can no
-// longer be preceded).
-func (r *detRun) service() error {
-	if r.conservative() {
-		return r.serviceConservative(r.global)
-	}
-	for _, p := range r.gq {
-		r.serveOne(p.req)
-	}
-	r.gq = r.gq[:0]
-	return nil
-}
-
-// serviceConservative services queued requests with TS strictly below
-// safeTime in (TS, core, arrival) order; later-timestamped requests stay
-// queued because a slower core could still issue an earlier one.
-func (r *detRun) serviceConservative(safeTime int64) error {
-	if len(r.gq) == 0 {
-		return nil
-	}
-	sortPending(r.gq)
-	n := 0
-	for n < len(r.gq) && r.gq[n].req.TS < safeTime {
-		r.serveOne(r.gq[n].req)
-		n++
-	}
-	if n > 0 {
-		// Compact in place instead of re-slicing so the backing array's
-		// capacity is never abandoned.
-		r.gq = r.gq[:copy(r.gq, r.gq[n:])]
-	}
-	return nil
-}
-
-// serviceAll flushes every queued request regardless of safety (used when
-// the run is over).
-func (r *detRun) serviceAll() error {
-	return r.serviceConservative(unboundedSentinel)
-}
-
-func (r *detRun) serveOne(req event.Request) {
-	before := r.m.det.SelectedCount()
-	r.m.unc.Service(req)
-	r.meter.events++
-	if r.cfg.MeasureViolations {
-		r.meter.violChecked++
-	}
-	if r.cfg.Rollback && r.replayUntil == 0 {
-		if r.m.det.SelectedCount() > before {
-			r.pendingRollback = true
-		}
-	}
-}
-
-// adapt runs the adaptive controller at its period.
-func (r *detRun) adapt() {
-	if r.ctrl == nil || r.mode() == CC {
-		return
-	}
-	period := r.cfg.Scheme.Adaptive.Period
-	if r.global-r.lastAdapt < period {
-		return
-	}
-	r.lastAdapt = r.global
-	rate := r.m.det.Rate(r.global)
-	before := r.bound
-	r.bound = r.ctrl.Update(rate)
-	r.meter.adaptOps++
-	if r.bound != before && r.cfg.Tracer.Enabled() {
-		r.cfg.Tracer.Addf(r.global, -1, trace.BoundChange,
-			"rate=%.5f bound %d -> %d", rate, before, r.bound)
-	}
-}
-
 // allAtBoundary reports whether every active core's clock equals the next
 // checkpoint boundary.
 func (r *detRun) allAtBoundary() bool {
@@ -595,9 +416,7 @@ func (r *detRun) allAtBoundary() bool {
 // or take a fresh global checkpoint, then advance the boundary.
 func (r *detRun) atBoundary() error {
 	r.drainAll()
-	if err := r.service(); err != nil {
-		return err
-	}
+	r.service()
 	if r.pendingRollback {
 		r.doRollback()
 		return nil
@@ -606,7 +425,7 @@ func (r *detRun) atBoundary() error {
 		r.replayed += r.replayUntil - r.snapGlobal()
 		r.replayUntil = 0
 	}
-	r.takeCheckpoint()
+	r.checkpoint()
 	r.nextCkpt += r.cfg.CheckpointInterval
 	if r.cfg.snapshotRequested() {
 		// The run is quiesced and checkpointed: export the state and stop.

@@ -20,17 +20,6 @@ type MemRecorder interface {
 	Rollback()
 }
 
-// setRecorders installs cfg.MemRecorder on every core (cores clear it on
-// Reset, so a pooled machine never leaks a recorder into the next run).
-func setRecorders(m *Machine, cfg RunConfig) {
-	if cfg.MemRecorder == nil {
-		return
-	}
-	for _, c := range m.cores {
-		c.SetRecorder(cfg.MemRecorder)
-	}
-}
-
 // sampleState is the deterministic host's interval-sampling cursor. The
 // run is cut into intervals of at least Plan.IntervalInsts committed
 // instructions (machine-wide); the cursor closes an interval at the first
@@ -69,6 +58,7 @@ func (r *detRun) sampleStep() {
 		return
 	}
 	s.close(r.global, committed)
+	r.fastForward = !s.detailed
 }
 
 func (s *sampleState) close(global int64, committed uint64) {

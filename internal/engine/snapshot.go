@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"slacksim/internal/adaptive"
 	"slacksim/internal/core"
@@ -209,10 +208,13 @@ func (r *detRun) exportSnapshot() ([]byte, error) {
 // run configuration; the continued run then produces Results identical
 // to an uninterrupted run (WallClock aside).
 func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	// Set the run up the way Run does; the restored components and the
+	// header's pacing scalars then overwrite the fresh state.
+	var r detRun
+	if err := r.init(m, cfg); err != nil {
 		return Results{}, err
 	}
+	cfg = r.cfg
 
 	dec := gob.NewDecoder(bytes.NewReader(state))
 	var hdr engineHeader
@@ -230,6 +232,9 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	}
 	if name := cfg.Scheme.Name(); hdr.Scheme != name {
 		return Results{}, fmt.Errorf("engine: resume: state scheme %q, config scheme %q", hdr.Scheme, name)
+	}
+	if len(hdr.Retired) != m.NumCores() {
+		return Results{}, fmt.Errorf("engine: resume: retired mask has %d entries for %d cores", len(hdr.Retired), m.NumCores())
 	}
 
 	var cores []*core.Snapshot
@@ -255,17 +260,16 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 			return Results{}, fmt.Errorf("engine: resume %s: %w", step.name, err)
 		}
 	}
-	var ctrl *adaptive.Controller
 	if hdr.HasCtrl {
-		ctrl = &adaptive.Controller{}
-		if err := dec.Decode(ctrl); err != nil {
+		r.ctrl = &adaptive.Controller{}
+		if err := dec.Decode(r.ctrl); err != nil {
 			return Results{}, fmt.Errorf("engine: resume controller: %w", err)
 		}
 	}
 	if len(cores) != m.NumCores() || len(inQs) != m.NumCores() || len(outs) != m.NumCores() {
 		return Results{}, fmt.Errorf("engine: resume: component counts do not match %d cores", m.NumCores())
 	}
-	if cfg.Scheme.Kind == Adaptive && ctrl == nil {
+	if cfg.Scheme.Kind == Adaptive && !hdr.HasCtrl {
 		return Results{}, fmt.Errorf("engine: resume: adaptive scheme but no controller state")
 	}
 
@@ -283,50 +287,31 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	m.sync.Restore(sctl)
 	m.det.Restore(det)
 
-	// Rebuild the run state the way Run does, then overwrite the pacing
-	// scalars from the header.
-	src := newCountingSource(cfg.Seed)
 	for i := uint64(0); i < hdr.RNGDraws; i++ {
-		src.Int63()
+		r.rngSrc.Int63()
 	}
-	r := &detRun{
-		m:       m,
-		cfg:     cfg,
-		rng:     rand.New(src),
-		rngSrc:  src,
-		retired: append([]bool(nil), hdr.Retired...),
-		bound:   hdr.Bound,
-		ctrl:    ctrl,
-		prog:    newProgressNotifier(cfg),
-
-		global:  hdr.Global,
-		arrival: hdr.Arrival,
-
-		p2pNext:    hdr.P2PNext,
-		p2pPartner: hdr.P2PPartner,
-		p2pBlocked: hdr.P2PBlocked,
-
-		lastAdapt: hdr.LastAdapt,
-		nextCkpt:  hdr.NextCkpt,
-		rollbacks: hdr.Rollbacks,
-		wasted:    hdr.Wasted,
-		replayed:  hdr.Replayed,
-		ckpts:     hdr.Ckpts,
-		ckptWords: hdr.CkptWords,
-
-		meter: costMeter{
-			coreCycles: hdr.Meter.CoreCycles, events: hdr.Meter.Events,
-			suspensions: hdr.Meter.Suspensions, violChecked: hdr.Meter.ViolChecked,
-			adaptOps: hdr.Meter.AdaptOps, ckptWords: hdr.Meter.CkptWords,
-			rbackWords: hdr.Meter.RbackWords,
-		},
+	copy(r.retired, hdr.Retired)
+	r.bound = hdr.Bound
+	r.global = hdr.Global
+	r.arrival = hdr.Arrival
+	copy(r.p2pNext, hdr.P2PNext)
+	copy(r.p2pPartner, hdr.P2PPartner)
+	copy(r.p2pBlocked, hdr.P2PBlocked)
+	r.lastAdapt = hdr.LastAdapt
+	r.nextCkpt = hdr.NextCkpt
+	r.rollbacks = hdr.Rollbacks
+	r.wasted = hdr.Wasted
+	r.replayed = hdr.Replayed
+	r.ckpts = hdr.Ckpts
+	r.ckptWords = hdr.CkptWords
+	r.meter = costMeter{
+		coreCycles: hdr.Meter.CoreCycles, events: hdr.Meter.Events,
+		suspensions: hdr.Meter.Suspensions, violChecked: hdr.Meter.ViolChecked,
+		adaptOps: hdr.Meter.AdaptOps, ckptWords: hdr.Meter.CkptWords,
+		rbackWords: hdr.Meter.RbackWords,
 	}
-	m.unc.SetTracer(cfg.Tracer)
 	for _, p := range hdr.GQ {
 		r.gq = append(r.gq, pendingReq{req: p.Req, arr: p.Arr})
-	}
-	if len(hdr.Retired) != m.NumCores() {
-		return Results{}, fmt.Errorf("engine: resume: retired mask has %d entries for %d cores", len(hdr.Retired), m.NumCores())
 	}
 
 	// The exported run held a checkpoint taken at the export boundary;
@@ -334,21 +319,9 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	// was already charged to the meter before export, so this rebuild
 	// does not touch the accounting.
 	if cfg.CheckpointInterval > 0 {
-		r.snap = r.fullSnapshot()
-		words := int64(m.mem.AllocatedWords() + m.unc.StateWords())
-		for _, cs := range r.snap.cores {
-			words += int64(cs.StateWords())
-		}
-		r.snap.words = words
-		if !cfg.DeepCheckpoint {
-			m.startTracking()
-		}
+		s := r.capture()
+		s.retired = append(s.retired[:0], r.retired...)
 	}
 	r.cfg.Tracer.Addf(r.global, -1, trace.Checkpoint, "resumed from snapshot @%d", r.global)
-
-	start := time.Now() //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
-	if err := r.loop(); err != nil {
-		return Results{}, err
-	}
-	return r.results(time.Since(start)), nil //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
+	return r.run()
 }

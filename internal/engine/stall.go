@@ -82,21 +82,6 @@ func (e *StallError) attachTrace(r *trace.Ring) {
 	e.TraceTotal = r.Total()
 }
 
-// progress is a monotone counter of forward motion: it increases whenever
-// any core ticks, commits, or retires. The watchdog declares a stall only
-// when this value stays constant for the whole budget.
-func (r *parRun) progress() uint64 {
-	var p uint64
-	for i := range r.localTime {
-		p += uint64(r.localTime[i].Load())
-		p += r.committed[i].Load()
-		if r.retired[i].Load() {
-			p++
-		}
-	}
-	return p
-}
-
 // stallDump captures the pacing state for a StallError. parked is read
 // under mu; the clocks are read through their atomics.
 func (r *parRun) stallDump() *StallError {
@@ -145,14 +130,14 @@ func (r *parRun) watchdog(done <-chan struct{}) {
 	}
 	tick := time.NewTicker(poll) //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
 	defer tick.Stop()
-	last := r.progress()
+	last := r.observe().counter()
 	lastChange := time.Now() //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
 	for {
 		select {
 		case <-done:
 			return
 		case <-tick.C:
-			cur := r.progress()
+			cur := r.observe().counter()
 			if cur != last {
 				last = cur
 				lastChange = time.Now() //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state

@@ -66,22 +66,7 @@ func (p *Program) allowsFor(pkg *Package) []*allowSite {
 // use it to honor waivers at the callee: a waived allocation inside a
 // helper does not poison the helper's summary.
 func (p *Program) AllowedAt(pkg *Package, analyzer string, pos token.Pos) bool {
-	line := pkg.Fset.Position(pos).Line
-	// Same-line directives first, mirroring the finding filter: in a
-	// stack of trailing allows each is credited for its own line.
-	for _, s := range p.allowsFor(pkg) {
-		if s.analyzers[analyzer] && s.line == line {
-			s.used = true
-			return true
-		}
-	}
-	for _, s := range p.allowsFor(pkg) {
-		if s.analyzers[analyzer] && s.line+1 == line {
-			s.used = true
-			return true
-		}
-	}
-	return false
+	return matchAllow(p.allowsFor(pkg), analyzer, pkg.Fset.Position(pos))
 }
 
 // AllowInfo is one //lint:allow directive, for inventory output.

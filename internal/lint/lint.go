@@ -153,12 +153,31 @@ var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-zA-Z0-9_,]+)\s*(?:--\s*(.*
 type allowSite struct {
 	analyzers map[string]bool
 	reason    string
+	file      string
 	line      int
 	pos       token.Pos
 	used      bool
 }
 
 func (s *allowSite) hasReason() bool { return s.reason != "" }
+
+// matchAllow reports whether a directive waives a finding by the named
+// analyzer at posn, and credits the directive that did. A directive
+// covers its own line and the following line of its own file, so it can
+// trail the flagged statement or stand alone above it. Same-line
+// directives win, so that in a stack of per-line trailing allows each one
+// is credited (and audited) for its own line.
+func matchAllow(sites []*allowSite, analyzer string, posn token.Position) bool {
+	for _, back := range []int{0, 1} {
+		for _, s := range sites {
+			if s.analyzers[analyzer] && s.file == posn.Filename && s.line+back == posn.Line {
+				s.used = true
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // collectAllows parses every //lint:allow directive in the files.
 func collectAllows(fset *token.FileSet, files []*ast.File) []*allowSite {
@@ -170,10 +189,12 @@ func collectAllows(fset *token.FileSet, files []*ast.File) []*allowSite {
 				if m == nil {
 					continue
 				}
+				posn := fset.Position(c.Pos())
 				s := &allowSite{
 					analyzers: map[string]bool{},
 					reason:    strings.TrimSpace(m[2]),
-					line:      fset.Position(c.Pos()).Line,
+					file:      posn.Filename,
+					line:      posn.Line,
 					pos:       c.Pos(),
 				}
 				for _, n := range strings.Split(m[1], ",") {
@@ -216,26 +237,6 @@ func runPackageInProgram(prog *Program, lp *Package, analyzers []*Analyzer) ([]F
 	// Share the Program's parsed sites so a directive consumed here (or
 	// by a summary via AllowedAt) is marked used for AllowInventory.
 	allows := prog.allowsFor(lp)
-	allowed := func(name string, line int) bool {
-		// A directive covers its own line and the following line, so it
-		// can trail the flagged statement or stand alone above it. Prefer
-		// the same-line directive so that in a stack of per-line trailing
-		// allows each one is credited (and audited) for its own line.
-		for _, s := range allows {
-			if s.analyzers[name] && s.line == line {
-				s.used = true
-				return true
-			}
-		}
-		for _, s := range allows {
-			if s.analyzers[name] && s.line+1 == line {
-				s.used = true
-				return true
-			}
-		}
-		return false
-	}
-
 	var out []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -251,7 +252,7 @@ func runPackageInProgram(prog *Program, lp *Package, analyzers []*Analyzer) ([]F
 			if strings.HasSuffix(posn.Filename, "_test.go") {
 				return
 			}
-			if allowed(a.Name, posn.Line) {
+			if matchAllow(allows, a.Name, posn) {
 				return
 			}
 			out = append(out, Finding{Position: posn, Analyzer: a.Name, Message: d.Message})

@@ -63,6 +63,14 @@ type Verifier interface {
 	Verify(m *mem.Memory) error
 }
 
+// CoreVerifier is implemented by workloads whose result layout depends on
+// the machine size. Their Verify falls back on the core count of the last
+// Programs call, which a pooled machine skips when it reuses compiled
+// programs, so a caller that knows the machine size passes it instead.
+type CoreVerifier interface {
+	VerifyCores(m *mem.Memory, numCores int) error
+}
+
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 

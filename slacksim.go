@@ -354,6 +354,9 @@ func (s *Simulation) Resume(state []byte) (Results, error) {
 // Verify checks the workload's functional result in the simulated memory
 // against its reference implementation, when the workload supports it.
 func (s *Simulation) Verify() error {
+	if cv, ok := s.wload.(workload.CoreVerifier); ok {
+		return cv.VerifyCores(s.machine.Memory(), s.machine.NumCores())
+	}
 	v, ok := s.wload.(workload.Verifier)
 	if !ok {
 		return fmt.Errorf("slacksim: workload %s has no verifier", s.wload.Name())

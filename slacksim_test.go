@@ -249,3 +249,25 @@ func TestLaxP2PViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerifyOnPooledMachineKnowsCoreCount: a machine taken from the pool
+// reuses its compiled programs, so the fresh workload value never sees a
+// Programs call; Verify must still check the cores that ran (bench defect
+// 6: the second pooled 2-core private run failed with "core 2 sum = 0").
+func TestVerifyOnPooledMachineKnowsCoreCount(t *testing.T) {
+	for _, wl := range []string{"private", "falseshare"} {
+		for run := 0; run < 2; run++ {
+			sim, err := New(Config{Workload: wl, Cores: 2, Scheme: Schemes.Bounded(8), Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Verify(); err != nil {
+				t.Errorf("%s, pooled run %d: %v", wl, run, err)
+			}
+			sim.Release()
+		}
+	}
+}
