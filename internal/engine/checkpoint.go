@@ -57,7 +57,7 @@ type globalSnapshot struct {
 // synchronization controller, the violation detector and the engine-level
 // slices copy in place at every boundary — their state is tiny and has no
 // single mutation funnel to track. The caller must have the machine
-// quiesced (the parallel host holds every active core parked under mu).
+// quiesced: no core may tick until capture returns.
 //
 //slacksim:hotpath
 func (g *manager) capture() *globalSnapshot {
@@ -66,6 +66,7 @@ func (g *manager) capture() *globalSnapshot {
 	s.global = g.global
 	s.bound = g.bound
 	s.lastAdapt = g.lastAdapt
+	s.retired = append(s.retired[:0], g.retired...)
 	s.gq = append(s.gq[:0], g.gq...)
 	if g.snap == nil || g.cfg.DeepCheckpoint {
 		m.unc.SnapshotInto(s.unc)
@@ -76,8 +77,8 @@ func (g *manager) capture() *globalSnapshot {
 		}
 		if !g.cfg.DeepCheckpoint {
 			// From now on every boundary needs only the dirty state. On the
-			// parallel host the track flags are published to the parked core
-			// goroutines by mu.
+			// parallel host the next round's release publishes the track
+			// flags to the workers.
 			m.startTracking()
 		}
 	} else {
@@ -118,7 +119,7 @@ func (g *manager) capture() *globalSnapshot {
 // "checkpoints always succeed".
 //
 //slacksim:hotpath
-func (g *manager) takeCheckpoint() *globalSnapshot {
+func (g *manager) takeCheckpoint() {
 	s := g.capture()
 	g.ckpts++
 	g.ckptWords += s.words
@@ -131,16 +132,6 @@ func (g *manager) takeCheckpoint() *globalSnapshot {
 	if g.cfg.Tracer.Enabled() {
 		g.cfg.Tracer.Addf(g.global, -1, trace.Checkpoint, "ckpt %d (%d words)", g.ckpts, s.words)
 	}
-	return s
-}
-
-// checkpoint is the deterministic driver's takeCheckpoint: the retired
-// mask is driver state, so the driver adds it to the image.
-//
-//slacksim:hotpath
-func (r *detRun) checkpoint() {
-	s := r.takeCheckpoint()
-	s.retired = append(s.retired[:0], r.retired...)
 }
 
 // doRollback restores the last checkpoint and enters cycle-by-cycle replay

@@ -82,9 +82,10 @@ func canonical(r Results) Results {
 // gold-standard timing for a data-race-free, barrier-synchronized
 // workload. This is the strongest cross-host correctness check: the whole
 // canonical Results (cycles, commits, events served, per-core stats down
-// to barrier_wait) must be equal. The 8-core case oversubscribes two host
-// CPUs and repeats, which is what it takes to hit the manager's
-// observe/drain and retired/clock ordering windows.
+// to barrier_wait) must be equal. The gomaxprocs column sets the worker
+// count: 1 runs every core on the calling goroutine with no barrier, 2
+// splits 8 cores over two workers and repeats, and 16 exceeds the 2-core
+// machine's core count, so the pool clamps to one worker per core.
 func TestCCParallelMatchesDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -100,6 +101,8 @@ func TestCCParallelMatchesDeterministic(t *testing.T) {
 		{"fft-64", workload.NewFFT(64), 4, 1, 1, 0},
 		{"lu-8", workload.NewLU(8), 4, 3, 1, 0},
 		{"fft-512x8", workload.NewFFT(512), 8, 1, 20, 2},
+		{"fft-256x8-p1", workload.NewFFT(256), 8, 1, 3, 1},
+		{"fft-64x2-p16", workload.NewFFT(64), 2, 1, 3, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.gomaxprocs > 0 {

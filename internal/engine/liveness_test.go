@@ -1,12 +1,16 @@
 package engine
 
-// Liveness regressions for the goroutine-parallel host: the lost-wakeup
-// shutdown race, the stall watchdog's structured dump, the MaxCycles
-// horizon clamp, and the Lax-P2P single-core partner-pick panic.
+// Liveness regressions for the goroutine-parallel host: the stall
+// watchdog's structured dump, the MaxCycles horizon clamp, the Lax-P2P
+// single-core partner-pick panic, the drift cap that keeps unbounded slack
+// from running away, and two runs sharing the host's processors.
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,179 +19,59 @@ import (
 	"slacksim/internal/workload"
 )
 
-// newParkedRun builds a parRun whose cores park immediately (maxLocal
-// stays 0) and starts their goroutines without a manager, exposing the
-// park/stop interleaving directly.
-func newParkedRun(t *testing.T, cores int) (*parRun, *sync.WaitGroup) {
-	t.Helper()
-	m := newTestMachine(t, workload.NewPrivate(4, 1), cores)
-	r := &parRun{
-		manager:   manager{m: m, cfg: RunConfig{Scheme: CycleByCycle()}.withDefaults()},
-		localTime: make([]atomic.Int64, cores),
-		maxLocal:  make([]atomic.Int64, cores),
-		committed: make([]atomic.Uint64, cores),
-		retired:   make([]atomic.Bool, cores),
-		parked:    make([]bool, cores),
-		kick:      make(chan struct{}, 1),
-	}
-	r.cond = sync.NewCond(&r.mu)
-	var wg sync.WaitGroup
-	for i := 0; i < cores; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.coreLoop(i)
-		}(i)
-	}
-	return r, &wg
-}
-
-// waitOrFatal fails the test if the core goroutines do not exit in time —
-// the signature of a lost wakeup.
-func waitOrFatal(t *testing.T, wg *sync.WaitGroup, msg string) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal(msg)
-	}
-}
-
-// captiveHook installs a parkHook that reports when a core is inside the
-// lost-wakeup window (park predicate evaluated with stop==false, cond.Wait
-// not yet entered, mu held) and holds it there until release is closed.
-func captiveHook(t *testing.T) (entered chan int, release chan struct{}) {
-	t.Helper()
-	entered = make(chan int, 16)
-	release = make(chan struct{})
-	parkHook = func(core int) {
-		select {
-		case entered <- core:
-		default:
+// TestWatchdogStallDump wedges one worker on purpose through wedgeHook, so
+// the manager waits at the barrier for an arrival that never comes, and
+// asserts the watchdog's force-stop releases that wait and fails the run
+// with the structured per-core dump instead of hanging. The wedged worker
+// leaves only once the run is stopped, without arriving.
+func TestWatchdogStallDump(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	wedgeHook = func(w int, stop *atomic.Bool) {
+		if w != 1 {
+			return
 		}
-		<-release
-	}
-	t.Cleanup(func() { parkHook = nil })
-	return entered, release
-}
-
-// awaitWindow waits until a core reports it is captive in the park window.
-func awaitWindow(t *testing.T, entered chan int) {
-	t.Helper()
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("core never reached the park window")
-	}
-}
-
-// TestShutdownBroadcastNoLostWakeup forces the exact park/stop
-// interleaving the unlocked Broadcast lost: a core is held captive between
-// its park predicate (stop observed false) and cond.Wait while the test
-// shuts the run down. The locked protocol must block on mu until the core
-// is actually waiting, so the broadcast lands; the pre-fix code
-// (stop.Store + Broadcast without mu) completes while the core is captive
-// and leaves it asleep forever — which this test reports as a fatal
-// timeout instead of hanging CI.
-func TestShutdownBroadcastNoLostWakeup(t *testing.T) {
-	for iter := 0; iter < 10; iter++ {
-		entered, release := captiveHook(t)
-		r, wg := newParkedRun(t, 1)
-		awaitWindow(t, entered)
-		sdDone := make(chan struct{})
-		go func() {
-			r.shutdown()
-			close(sdDone)
-		}()
-		select {
-		case <-sdDone:
-			// Shutdown finished while the core was captive pre-Wait: its
-			// broadcast can only have been issued without mu (the bug).
-			close(release)
-			waitOrFatal(t, wg, "unlocked shutdown broadcast was lost: core asleep forever")
-			t.Fatal("shutdown completed while a core held mu inside the park window")
-		case <-time.After(50 * time.Millisecond):
-			// Correct: shutdown is blocked on mu until the core waits.
-		}
-		close(release)
-		waitOrFatal(t, wg, "core goroutine missed the stop wakeup (lost wakeup)")
-		<-sdDone
-		parkHook = nil
-	}
-}
-
-// TestMaxLocalRaiseNoLostWakeup forces the same window against the
-// manager's other wakeup path: raising the max local times. The raise
-// must not complete while a core is captive pre-Wait; once released, the
-// core must observe the new wall and tick forward.
-func TestMaxLocalRaiseNoLostWakeup(t *testing.T) {
-	for iter := 0; iter < 10; iter++ {
-		entered, release := captiveHook(t)
-		r, wg := newParkedRun(t, 1)
-		awaitWindow(t, entered)
-		raised := make(chan struct{})
-		go func() {
-			// The manager's raise path: store and broadcast under mu.
-			r.mu.Lock()
-			r.maxLocal[0].Store(1)
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			close(raised)
-		}()
-		select {
-		case <-raised:
-			t.Fatal("max-local raise completed while a core held mu inside the park window")
-		case <-time.After(50 * time.Millisecond):
-		}
-		close(release)
-		<-raised
-		// The raise must not be lost: the core wakes and ticks to the new
-		// wall. A lost wakeup leaves localTime at 0 forever.
-		deadline := time.Now().Add(10 * time.Second)
-		for r.localTime[0].Load() < 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("max-local raise broadcast was lost: core asleep forever")
-			}
+		for !stop.Load() {
 			time.Sleep(time.Millisecond)
 		}
-		r.shutdown()
-		waitOrFatal(t, wg, "core goroutine missed the stop wakeup after a raise")
-		parkHook = nil
+		runtime.Goexit()
 	}
-}
-
-// TestWatchdogStallDump wedges a run on purpose (cores parked, nobody
-// raising the wall) and asserts the watchdog fails it with the structured
-// per-core dump instead of hanging.
-func TestWatchdogStallDump(t *testing.T) {
-	r, wg := newParkedRun(t, 3)
-	r.cfg.StallTimeout = 50 * time.Millisecond
-	wdDone := make(chan struct{})
-	go r.watchdog(wdDone)
-	waitOrFatal(t, wg, "watchdog did not force-stop the stalled run")
-	close(wdDone)
-	serr := r.stallErr.Load()
-	if serr == nil {
-		t.Fatal("watchdog fired but published no StallError")
+	defer func() { wedgeHook = nil }()
+	m := newTestMachine(t, workload.NewFFT(64), 4)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunParallel(m, RunConfig{Scheme: CycleByCycle(), StallTimeout: 50 * time.Millisecond})
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("force-stop did not release the manager's barrier wait")
+	}
+	var serr *StallError
+	if !errors.As(err, &serr) {
+		t.Fatalf("want *StallError, got %v", err)
 	}
 	if serr.Budget != 50*time.Millisecond {
 		t.Errorf("dump budget = %v, want 50ms", serr.Budget)
 	}
-	if len(serr.Cores) != 3 {
-		t.Fatalf("dump has %d cores, want 3", len(serr.Cores))
+	if len(serr.Cores) != 4 {
+		t.Fatalf("dump has %d cores, want 4", len(serr.Cores))
 	}
+	// Worker 0 (the manager) ticked cores 0-1 to the first wall; worker 1
+	// never touched cores 2-3.
 	for _, c := range serr.Cores {
-		if c.LocalTime != 0 || c.MaxLocal != 0 || c.Retired {
-			t.Errorf("core %d dump = %+v, want local=0 maxLocal=0 retired=false", c.Core, c)
+		wantLocal, wantParked := int64(1), true
+		if c.Core >= 2 {
+			wantLocal, wantParked = 0, false
+		}
+		if c.LocalTime != wantLocal || c.MaxLocal != 1 || c.Parked != wantParked || c.Retired {
+			t.Errorf("core %d dump = %+v, want local=%d maxLocal=1 parked=%v retired=false",
+				c.Core, c, wantLocal, wantParked)
 		}
 	}
 	msg := serr.Error()
-	for _, want := range []string{"stalled", "no progress", "core 0:", "core 2:", "parked="} {
+	for _, want := range []string{"stalled", "no progress", "core 0:", "core 3:", "parked="} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("dump message missing %q:\n%s", want, msg)
 		}
@@ -327,5 +211,65 @@ func TestParallelHostFeedsTraceRing(t *testing.T) {
 	}
 	if ring.Total() == 0 {
 		t.Error("ring recorded no events")
+	}
+}
+
+// TestParallelSUDriftCap: every round's wall is capped at global +
+// HostDriftCap, the drift cap the deterministic host applies, so su on the
+// parallel host cannot run away from the deterministic host's simulated
+// time however the host schedules the workers (before the cap this run
+// did not finish within the budget). An interrupt after the 10 s budget
+// turns a runaway into a failure instead of a hang.
+func TestParallelSUDriftCap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w := workload.NewFFT(256)
+	det := MustRun(newTestMachine(t, w, 8), RunConfig{Scheme: UnboundedSlack(), Seed: 1})
+	var late atomic.Bool
+	timer := time.AfterFunc(10*time.Second, func() { late.Store(true) })
+	defer timer.Stop()
+	m := newTestMachine(t, w, 8)
+	par, err := RunParallel(m, RunConfig{Scheme: UnboundedSlack(), Interrupt: &late})
+	if errors.Is(err, ErrInterrupted) {
+		t.Fatal("su on the parallel host did not finish within 10 s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Verify(m.Memory()); err != nil {
+		t.Fatalf("functional: %v", err)
+	}
+	if limit := det.Cycles * 3 / 2; par.Cycles > limit {
+		t.Errorf("parallel su ran to %d cycles, over 1.5x the deterministic host's %d", par.Cycles, det.Cycles)
+	}
+}
+
+// TestParallelConcurrentRuns: two runs at GOMAXPROCS(2) start two workers
+// each, so four goroutines share two processors. A barrier wait that never
+// yielded would hold a processor its own run's other worker needs; both
+// runs must finish, and cc must stay exact in both.
+func TestParallelConcurrentRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w := workload.NewFFT(256)
+	det := canonical(MustRun(newTestMachine(t, w, 8), RunConfig{Scheme: CycleByCycle(), Seed: 1}))
+	errs := make(chan error, 2)
+	for k := 0; k < 2; k++ {
+		m := newTestMachine(t, w, 8)
+		go func() {
+			res, err := RunParallel(m, RunConfig{Scheme: CycleByCycle()})
+			if err == nil && !reflect.DeepEqual(canonical(res), det) {
+				err = fmt.Errorf("cc differs from the deterministic host: %d vs %d cycles", res.Cycles, det.Cycles)
+			}
+			errs <- err
+		}()
+	}
+	for k := 0; k < 2; k++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("concurrent parallel runs did not finish")
+		}
 	}
 }

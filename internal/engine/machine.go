@@ -183,9 +183,8 @@ func (m *Machine) newSnapGraph() *globalSnapshot {
 
 // startTracking enables dirty tracking in every component for incremental
 // checkpoints. Called once, at the instant the first full snapshot is
-// taken. On the parallel host this runs on the manager goroutine while
-// all core goroutines are parked at the checkpoint boundary, so the
-// non-atomic track flags are published by the pacing mutex.
+// taken. On the parallel host this runs between two rounds, so the next
+// round's release publishes the non-atomic track flags to the workers.
 func (m *Machine) startTracking() {
 	m.mem.StartTracking()
 	m.unc.StartTracking()

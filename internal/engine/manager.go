@@ -31,10 +31,9 @@ func comparePending(pa, pb pendingReq) int {
 	return cmp.Compare(pa.arr, pb.arr)
 }
 
-// observation is a host driver's reading of the core clocks — the only
-// thing a driver hands the manager each step. The deterministic driver
-// reads the cores directly; the parallel driver reads the atomics the core
-// goroutines publish (in the order its memory-model contract fixes).
+// observation is the manager's reading of the core clocks, taken by
+// observe whenever no core is ticking: between two picks on the
+// deterministic host, between two rounds on the parallel host.
 type observation struct {
 	min       int64  // minimum local time over non-retired cores; -1 when none is left
 	local     uint64 // sum of every core's local time
@@ -65,20 +64,22 @@ func (o observation) counter() uint64 {
 // global queue, conservative and eager servicing, the global and max local
 // times, the adaptive controller, and checkpoint accounting. Both hosts
 // embed it and differ only in how they pace the core threads. A driver
-// calls step with its observation of the clocks; the contract is
+// calls step with an observation of the clocks; the contract is
 //
 //	observe clocks → drain → service below the observed minimum →
 //	adapt → (driver: boundary) → (driver: raise walls)
 //
-// Observing first is what makes conservative servicing exact on a
-// concurrent host: a request stamped below the observed minimum was pushed
-// before its core published the clock that was read, so the drain that
-// follows finds it.
+// Both drivers observe only while no core is ticking, so every request a
+// core stamped below the observed minimum is already in its out-queue.
 type manager struct {
 	m   *Machine
 	cfg RunConfig
 
 	global int64
+	// retired marks cores whose program has halted. The driver that ticks
+	// a core sets its flag; a checkpoint copies the mask and a rollback
+	// restores it.
+	retired []bool
 
 	// gq is the pending set. In slack modes it is in arrival order and
 	// every pass serves all of it. In cycle-by-cycle mode drainAll keeps it
@@ -130,6 +131,7 @@ func newManager(m *Machine, cfg RunConfig) (manager, error) {
 		m:        m,
 		cfg:      cfg,
 		bound:    cfg.Scheme.Bound,
+		retired:  make([]bool, m.NumCores()),
 		prog:     newProgressNotifier(cfg),
 		nextCkpt: cfg.CheckpointInterval,
 	}
@@ -148,9 +150,9 @@ func newManager(m *Machine, cfg RunConfig) (manager, error) {
 	if len(cfg.Selected) > 0 {
 		m.Detector().Select(cfg.Selected...)
 	}
-	// On the parallel host the event ring is written only by the manager
-	// goroutine and read again only after the run's goroutines have joined,
-	// so it needs no locking.
+	// On the parallel host the event ring is written only between rounds
+	// and read again only after the run's goroutines have joined, so it
+	// needs no locking.
 	m.unc.SetTracer(cfg.Tracer)
 	if cfg.MemRecorder != nil {
 		// Cores clear the recorder on Reset, so a pooled machine never
@@ -189,6 +191,16 @@ func (g *manager) maxLocalTime() int64 {
 		ml = g.nextCkpt
 	}
 	return ml
+}
+
+// observe reads the core clocks directly; drivers call it only while no
+// core is ticking.
+func (g *manager) observe() observation {
+	o := observation{min: -1}
+	for i, c := range g.m.cores {
+		o.add(c.Now(), c.Committed(), g.retired[i])
+	}
+	return o
 }
 
 // done reports whether the run is over given the clocks in o.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,28 +148,37 @@ func TestInterruptDeterministic(t *testing.T) {
 	}
 }
 
+// TestInterruptParallel raises the interrupt mid-run from the progress
+// hook: the run must return ErrInterrupted, and every goroutine it started
+// (workers and watchdog) must exit, so the count returns to its baseline.
 func TestInterruptParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
 	w := workload.NewFFT(256)
 	m := newTestMachine(t, w, 4)
 	var stop atomic.Bool
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunParallel(m, RunConfig{
-			Scheme:       UnboundedSlack(),
-			StallTimeout: 30 * time.Second,
-			Interrupt:    &stop,
-		})
-		done <- err
-	}()
-	stop.Store(true)
-	select {
-	case err := <-done:
-		// A fast run may legitimately finish before the store lands; the
-		// contract is only that a raised interrupt yields ErrInterrupted.
-		if err != nil && !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("want nil or ErrInterrupted, got %v", err)
+	n := 0
+	_, err := RunParallel(m, RunConfig{
+		Scheme: BoundedSlack(8),
+		OnProgress: func(Progress) {
+			n++
+			if n == 3 {
+				stop.Store(true)
+			}
+		},
+		ProgressEvery: 1,
+		StallTimeout:  30 * time.Second,
+		Interrupt:     &stop,
+	})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	// Poll briefly: the runtime's finalizer goroutine counts while it runs
+	// finalizers, so the count can sit one above the baseline for a moment.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the interrupted run, %d before", runtime.NumGoroutine(), base)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatalf("interrupted parallel run did not stop")
+		time.Sleep(time.Millisecond)
 	}
 }

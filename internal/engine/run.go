@@ -27,12 +27,15 @@ type RunConfig struct {
 	// deterministic host (models host scheduling granularity; default 16).
 	MaxChunk int64
 	// HostDriftCap bounds how far any core's clock may run ahead of the
-	// slowest core in the deterministic host, independently of the slack
-	// bound (default 64). It models host threads that execute at roughly
-	// equal speeds with bounded transient drift: below the cap the slack
-	// bound is what limits reordering (violations grow with the bound);
-	// beyond it the host's own pacing dominates (the violation-rate
-	// plateau of the paper's Figure 3).
+	// slowest core, independently of the slack bound, on both hosts
+	// (default 64). It models host threads that execute at roughly equal
+	// speeds with bounded transient drift: below the cap the slack bound
+	// is what limits reordering (violations grow with the bound); beyond
+	// it the host's own pacing dominates (the violation-rate plateau of
+	// the paper's Figure 3). The deterministic host applies it when it
+	// picks a core; the parallel host caps every round's wall at global
+	// time plus the cap, which is what keeps unbounded and lax-p2p rounds
+	// finite there.
 	HostDriftCap int64
 	// CheckpointInterval, when positive, takes a global checkpoint every
 	// that many simulated cycles.
@@ -91,8 +94,9 @@ type RunConfig struct {
 	StallTimeout time.Duration
 	// OnProgress, when non-nil, is called with monotone Progress snapshots
 	// as the run advances (at most once per ProgressEvery global cycles).
-	// On the parallel host the callback runs on the manager goroutine and
-	// must be fast and non-blocking, or it will slow the pacing protocol.
+	// On the parallel host the callback runs on the manager goroutine
+	// between rounds, while every other worker waits, so it must be fast
+	// and non-blocking.
 	OnProgress func(Progress)
 	// ProgressEvery is the minimum global-time advance between OnProgress
 	// deliveries (default DefaultProgressEvery).
@@ -143,7 +147,7 @@ func (cfg RunConfig) Validate() error {
 	if err := cfg.Scheme.Validate(); err != nil {
 		return err
 	}
-	if cfg.MaxChunk < 0 || cfg.MaxCycles < 0 || cfg.CheckpointInterval < 0 {
+	if cfg.MaxChunk < 0 || cfg.MaxCycles < 0 || cfg.HostDriftCap < 0 || cfg.CheckpointInterval < 0 {
 		return fmt.Errorf("engine: negative run limits")
 	}
 	if cfg.Rollback && cfg.CheckpointInterval <= 0 {
@@ -179,8 +183,6 @@ type detRun struct {
 	// exported run state (Resume fast-forwards a fresh source to it).
 	rngSrc *countingSource
 
-	retired []bool
-
 	// Lax-P2P state: the next pairwise sync point, the currently chosen
 	// partner (-1 = none), and whether the core is currently blocked at a
 	// sync (for suspension accounting), per core.
@@ -214,7 +216,6 @@ func (r *detRun) init(m *Machine, cfg RunConfig) error {
 		manager: mgr,
 		rng:     rand.New(src),
 		rngSrc:  src,
-		retired: make([]bool, m.NumCores()),
 	}
 	if cfg.Sampling != nil {
 		r.samp = newSampleState(*cfg.Sampling)
@@ -243,7 +244,7 @@ func Run(m *Machine, cfg RunConfig) (Results, error) {
 	if r.cfg.Rollback {
 		// The initial state is the first recovery point, so a violation
 		// before the first boundary can still roll back.
-		r.checkpoint()
+		r.takeCheckpoint()
 	}
 	return r.run()
 }
@@ -271,16 +272,6 @@ func MustRun(m *Machine, cfg RunConfig) Results {
 		panic(err)
 	}
 	return res
-}
-
-// observe reads the core clocks (the host is single-threaded, so the
-// cores are read directly).
-func (r *detRun) observe() observation {
-	o := observation{min: -1}
-	for i, c := range r.m.cores {
-		o.add(c.Now(), c.Committed(), r.retired[i])
-	}
-	return o
 }
 
 func (r *detRun) loop() error {
@@ -425,7 +416,7 @@ func (r *detRun) atBoundary() error {
 		r.replayed += r.replayUntil - r.snapGlobal()
 		r.replayUntil = 0
 	}
-	r.checkpoint()
+	r.takeCheckpoint()
 	r.nextCkpt += r.cfg.CheckpointInterval
 	if r.cfg.snapshotRequested() {
 		// The run is quiesced and checkpointed: export the state and stop.

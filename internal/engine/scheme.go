@@ -4,8 +4,8 @@
 // speculative checkpoint/rollback machinery. Two hosts drive the same
 // machine model: a seeded deterministic host that reproducibly emulates
 // host-thread interleaving (used for accuracy experiments on any machine)
-// and a goroutine-parallel host mirroring the paper's Pthreads
-// implementation.
+// and a goroutine-parallel host that ticks static partitions of the cores
+// on GOMAXPROCS workers in bulk-synchronous rounds.
 package engine
 
 import (

@@ -319,8 +319,7 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	// was already charged to the meter before export, so this rebuild
 	// does not touch the accounting.
 	if cfg.CheckpointInterval > 0 {
-		s := r.capture()
-		s.retired = append(s.retired[:0], r.retired...)
+		r.capture()
 	}
 	r.cfg.Tracer.Addf(r.global, -1, trace.Checkpoint, "resumed from snapshot @%d", r.global)
 	return r.run()

@@ -8,8 +8,11 @@ import (
 	"slacksim/internal/trace"
 )
 
-// CoreStall is one core's pacing state at the moment a stall was detected,
-// as captured by the watchdog for the structured failure dump.
+// CoreStall is one core's pacing state when a stalled run was stopped, as
+// captured for the structured failure dump. Parked means the core had
+// reached the round's wall (its max local time) and was waiting for the
+// round to end; an active core that is not parked belongs to the worker
+// that never arrived.
 type CoreStall struct {
 	Core      int
 	LocalTime int64
@@ -19,11 +22,11 @@ type CoreStall struct {
 }
 
 // StallError reports that the goroutine-parallel host made no forward
-// progress (no core advanced its local time, committed an instruction, or
-// retired) for a full wall-clock stall budget. It carries a structured
-// snapshot of the pacing state so a wedged CI run fails with a diagnosis
-// instead of hanging: per-core local/max-local times, park/retire flags,
-// the global time, and the manager's GQ depth.
+// progress (no round completed, so no core advanced its local time,
+// committed an instruction, or retired) for a full wall-clock stall
+// budget. It carries a structured snapshot of the pacing state so a wedged
+// CI run fails with a diagnosis instead of hanging: per-core local/max-local
+// times, park/retire flags, the global time, and the manager's GQ depth.
 type StallError struct {
 	// Budget is the wall-clock window that elapsed with no progress.
 	Budget time.Duration
@@ -82,69 +85,46 @@ func (e *StallError) attachTrace(r *trace.Ring) {
 	e.TraceTotal = r.Total()
 }
 
-// stallDump captures the pacing state for a StallError. parked is read
-// under mu; the clocks are read through their atomics.
+// stallDump captures the state of a force-stopped run. It runs after every
+// goroutine has joined, so it reads the cores and the manager directly.
 func (r *parRun) stallDump() *StallError {
-	e := &StallError{
-		Budget:  r.cfg.StallTimeout,
-		Global:  r.globalNow.Load(),
-		GQDepth: int(r.gqDepth.Load()),
-	}
-	r.mu.Lock()
-	for i := range r.localTime {
+	e := &StallError{Budget: r.cfg.StallTimeout, Global: r.global, GQDepth: len(r.gq)}
+	for i, c := range r.m.cores {
 		e.Cores = append(e.Cores, CoreStall{
 			Core:      i,
-			LocalTime: r.localTime[i].Load(),
-			MaxLocal:  r.maxLocal[i].Load(),
-			Parked:    r.parked[i],
-			Retired:   r.retired[i].Load(),
+			LocalTime: c.Now(),
+			MaxLocal:  r.wall,
+			Parked:    !r.retired[i] && c.Now() >= r.wall,
+			Retired:   r.retired[i],
 		})
 	}
-	r.mu.Unlock()
 	return e
 }
 
-// failStall records the stall and force-stops the run: the error is
-// published first, then stop is raised under mu with a broadcast (the
-// lost-wakeup-safe shutdown path) and the manager is kicked out of its
-// channel wait.
-func (r *parRun) failStall() {
-	r.stallErr.Store(r.stallDump())
-	r.shutdown()
-	r.kickManager()
-}
-
-// watchdog polls the run's progress counter and fails the run via
-// failStall when it does not change for a full StallTimeout window. It
-// exits when done is closed. Polling (rather than instrumenting every
-// pacing operation) keeps the hot paths untouched; the budget is a
-// wall-clock bound so detection latency is at most budget + one poll.
+// watchdog polls the progress counter the manager publishes after every
+// round and force-stops the run when it does not change for a full
+// StallTimeout window: a worker that never arrives holds the manager at
+// the barrier, so no round completes. It exits when done is closed.
+// Detection latency is at most budget + one poll.
 func (r *parRun) watchdog(done <-chan struct{}) {
 	budget := r.cfg.StallTimeout
-	poll := budget / 16
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	if poll > time.Second {
-		poll = time.Second
-	}
-	tick := time.NewTicker(poll) //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
+	tick := time.NewTicker(min(max(budget/16, time.Millisecond), time.Second)) //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
 	defer tick.Stop()
-	last := r.observe().counter()
+	last := r.progress.Load()
 	lastChange := time.Now() //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
 	for {
 		select {
 		case <-done:
 			return
 		case <-tick.C:
-			cur := r.observe().counter()
-			if cur != last {
+			if cur := r.progress.Load(); cur != last {
 				last = cur
 				lastChange = time.Now() //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
 				continue
 			}
 			if time.Since(lastChange) >= budget { //lint:allow determinism -- the stall watchdog is wall-clock by design and never touches simulated state
-				r.failStall()
+				r.stalled.Store(true)
+				r.stop.Store(true)
 				return
 			}
 		}

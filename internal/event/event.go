@@ -85,8 +85,8 @@ func (m Msg) String() string {
 // single atomic load. A reader that races a concurrent Push may see the
 // queue as empty one tick early — indistinguishable from having run just
 // before the Push, which the slack protocols already tolerate; once a
-// Push completes (its mutex release and the pacing publication that
-// follows it), the counter is visible to every later reader.
+// Push completes (its mutex release, and on the parallel host the round
+// barrier that follows it), the counter is visible to every later reader.
 type Queue[T any] struct {
 	mu    sync.Mutex
 	size  atomic.Int64

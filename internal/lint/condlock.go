@@ -9,9 +9,8 @@ import (
 // sync.Cond.Broadcast/Signal call must be made while holding the cond's
 // own locker. A broadcast outside the critical section can land in the
 // window between a waiter's predicate test and its cond.Wait — the
-// classic lost wakeup, and exactly the parallel-host shutdown bug fixed
-// in PR 1 (see the parRun memory-model contract in
-// internal/engine/parallel.go).
+// classic lost wakeup, and exactly the bug the parallel host's old
+// condvar shutdown path once had (testdata/brokenmod reconstructs it).
 var CondLock = &Analyzer{
 	Name: "condlock",
 	Doc: "report sync.Cond Broadcast/Signal calls made without holding the cond's locker " +

@@ -13,7 +13,7 @@ import (
 // simulation thread, and each core appends to its own stream — there is
 // no shared mutable state between core indices, so the parallel host
 // records without locks. Checkpoint and Rollback are called only at
-// quiesced boundaries (every core parked, queues drained).
+// quiesced boundaries (no core ticking).
 type Recorder struct {
 	workload string
 	events   [][]Event

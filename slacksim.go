@@ -167,9 +167,10 @@ type Config struct {
 	// checkpoint on a violation and replay cycle-by-cycle to the next
 	// boundary. Deterministic host only.
 	Rollback bool
-	// Parallel selects the goroutine-parallel host (one goroutine per
-	// core plus a manager, as the paper runs Pthreads) instead of the
-	// seeded deterministic host.
+	// Parallel selects the goroutine-parallel host (GOMAXPROCS workers,
+	// each ticking a static partition of the cores between barriers, the
+	// first also running the manager) instead of the seeded deterministic
+	// host.
 	Parallel bool
 	// TrackIntervals enables per-interval violation statistics for the
 	// given interval lengths (the paper's Tables 3 and 4).
