@@ -141,9 +141,19 @@ type Client struct {
 	hc   *http.Client
 }
 
+// maxIdlePerHost is how many idle connections a client keeps to its
+// server: enough for every concurrent poller of a sweep or a fleet
+// dispatcher to find its connection again (http.DefaultTransport keeps
+// two, so a third concurrent caller redialed on every request).
+const maxIdlePerHost = 64
+
 // New builds a client for the given base URL (e.g. "http://localhost:8080").
+// The client has a connection pool of its own, on a transport cloned from
+// http.DefaultTransport.
 func New(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = maxIdlePerHost
+	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}}
 }
 
 // NewWithHTTPClient builds a client using a custom http.Client (tests,

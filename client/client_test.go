@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -234,5 +238,54 @@ func TestMetricsFetch(t *testing.T) {
 	}
 	if string(blob) != body {
 		t.Fatalf("metrics = %q, want %q", blob, body)
+	}
+}
+
+// TestConcurrentPollersReuseConnections: three Wait pollers sharing one
+// client against one server keep three connections open between polls
+// instead of redialing. The server counts dials with ConnState.
+func TestConcurrentPollersReuseConnections(t *testing.T) {
+	const pollers, polls = 3, 25
+	var dials atomic.Int32
+	var mu sync.Mutex
+	seen := map[string]int{}
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+		mu.Lock()
+		seen[id]++
+		state := "running"
+		if seen[id] >= polls {
+			state = "done"
+		}
+		mu.Unlock()
+		_ = json.NewEncoder(w).Encode(map[string]any{"id": id, "state": state})
+	}))
+	hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+
+	c := client.New(hs.URL)
+	var wg sync.WaitGroup
+	errs := make(chan error, pollers)
+	for i := 0; i < pollers; i++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if _, err := c.Wait(context.Background(), id, time.Millisecond); err != nil {
+				errs <- err
+			}
+		}(fmt.Sprintf("j%d", i))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n > pollers {
+		t.Fatalf("%d pollers dialed %d connections over %d polls each; want one connection per poller", pollers, n, polls)
 	}
 }

@@ -11,50 +11,6 @@ import (
 	"slacksim/internal/syncctl"
 )
 
-// entryState tracks an in-flight instruction through the back end.
-type entryState uint8
-
-const (
-	stDispatched entryState = iota // in ROB, not yet issued
-	stIssued                       // executing; done at doneAt
-	stWaitMem                      // waiting for a memory-system reply
-	stDone                         // result ready; eligible to commit
-)
-
-// robEntry is one in-flight instruction.
-type robEntry struct {
-	seq   int
-	pc    int
-	inst  isa.Inst
-	state entryState
-
-	// srcProd holds the ROB seq of each source operand's producer, or -1
-	// when the value comes from the architectural register file.
-	srcProd [2]int
-
-	doneAt    int64
-	result    uint64
-	hasResult bool
-
-	// Branch bookkeeping.
-	predTaken   bool
-	actualTaken bool
-	resolved    bool
-
-	// Memory bookkeeping.
-	addr      uint64
-	addrValid bool
-	storeVal  uint64
-	// written marks a store whose architectural write was performed early
-	// because a snoop took the line (see applySnoop).
-	written bool
-
-	// Synchronization bookkeeping.
-	barrierGen     uint64
-	barrierArrived bool
-	nextLockTry    int64
-}
-
 type fetched struct {
 	pc        int
 	inst      isa.Inst
@@ -110,14 +66,10 @@ type Core struct {
 	// in-flight producer, or -1.
 	mapTable [isa.NumRegs]int
 
-	// rob is a head-index deque: the live window is rob[robHead:], so
-	// retiring the head is an index bump that keeps the slice's capacity
-	// (append-per-dispatch stops allocating once the backing array has
-	// grown to the ROB size). Window seqs are contiguous — dispatch
-	// appends nextSeq++, commit pops the head, a squash truncates the
-	// tail and rewinds nextSeq — so seq lookup is index arithmetic off
-	// the head entry's seq (see bySeq) and no seq→entry map is needed.
-	rob      []*robEntry
+	// rob is the reorder-buffer ring and ready its ready-set bitset; the
+	// live window is [robHead, nextSeq). See rob.go.
+	rob      []robEntry
+	ready    []uint64
 	robHead  int
 	nextSeq  int
 	fetchBuf []fetched
@@ -138,29 +90,6 @@ type Core struct {
 	rec OpRecorder
 
 	stats Stats
-
-	// freeList recycles robEntry allocations: dispatch pops from it and
-	// retire/flush/restore push onto it, so the steady-state pipeline
-	// allocates no entries at all. Safe because entries are referenced
-	// only through the rob window, which drops an entry before it is
-	// freed.
-	freeList []*robEntry
-}
-
-//slacksim:hotpath
-//slacksim:pooled
-func (c *Core) allocEntry() *robEntry {
-	if n := len(c.freeList); n > 0 {
-		e := c.freeList[n-1]
-		c.freeList = c.freeList[:n-1]
-		return e
-	}
-	return new(robEntry) //lint:allow hotpathalloc -- pool warm-up: runs only while the free list is empty
-}
-
-//slacksim:hotpath
-func (c *Core) freeEntry(e *robEntry) {
-	c.freeList = append(c.freeList, e) //lint:allow hotpathalloc -- free-list growth is bounded by ROB size, then reused forever
 }
 
 // New builds a core executing prog against the shared memory image and
@@ -192,6 +121,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controller,
 	for i := range c.mapTable {
 		c.mapTable[i] = -1
 	}
+	c.growROB()
 	return c, nil
 }
 
@@ -207,7 +137,7 @@ func MustNew(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controlle
 
 // Reset returns the core to its freshly-constructed state running prog,
 // keeping the configuration, shared-structure wiring, and every pooled
-// backing (ROB free list, cache arrays, MSHR waiter arenas, predictor
+// backing (ROB ring, cache arrays, MSHR waiter arenas, predictor
 // table). Used when a pooled machine is recycled for a new run.
 func (c *Core) Reset(prog *isa.Program) error {
 	if err := prog.Validate(); err != nil {
@@ -224,11 +154,7 @@ func (c *Core) Reset(prog *isa.Program) error {
 	for i := range c.mapTable {
 		c.mapTable[i] = -1
 	}
-	for _, e := range c.robs() {
-		c.freeEntry(e)
-	}
-	clear(c.rob)
-	c.rob = c.rob[:0]
+	clear(c.ready)
 	c.robHead = 0
 	c.nextSeq = 0
 	c.fetchBuf = c.fetchBuf[:0]
@@ -266,37 +192,6 @@ func (c *Core) L1D() *cache.Cache { return c.l1d }
 
 // Reg returns the architectural value of register r (committed state).
 func (c *Core) Reg(r isa.Reg) uint64 { return c.regs[r] }
-
-// robs returns the live ROB window, oldest first.
-//
-//slacksim:hotpath
-func (c *Core) robs() []*robEntry { return c.rob[c.robHead:] }
-
-// robLen returns the number of in-flight ROB entries.
-//
-//slacksim:hotpath
-func (c *Core) robLen() int { return len(c.rob) - c.robHead }
-
-// bySeq returns the in-flight entry with the given seq, or nil when that
-// seq has committed, been squashed, or never dispatched. Window seqs are
-// contiguous (see the rob field comment), so the lookup is bounds-checked
-// index arithmetic off the head entry.
-//
-//slacksim:hotpath
-func (c *Core) bySeq(seq int) *robEntry {
-	if c.robHead >= len(c.rob) {
-		return nil
-	}
-	first := c.rob[c.robHead].seq
-	if seq < first {
-		return nil
-	}
-	i := c.robHead + (seq - first)
-	if i >= len(c.rob) {
-		return nil
-	}
-	return c.rob[i]
-}
 
 // InFlight returns the number of ROB entries, for tests.
 func (c *Core) InFlight() int { return c.robLen() }

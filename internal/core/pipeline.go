@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/coherence"
@@ -74,7 +75,7 @@ func (c *Core) applyReply(msg event.Msg) {
 			e.result = c.mem.Read(e.addr)
 			e.hasResult = true
 		}
-		e.state = stDone
+		c.markDone(e)
 		e.doneAt = c.now
 	}
 }
@@ -88,7 +89,7 @@ func (c *Core) applySnoop(msg event.Msg) {
 		// is revoked by the next core's queued snoop before the store at
 		// the head of the ROB can commit.
 		if c.robLen() > 0 {
-			e := c.rob[c.robHead]
+			e := c.entry(c.robHead)
 			if e.inst.Op == isa.Store && e.state == stDone && !e.written &&
 				e.addrValid && cache.LineAddr(e.addr) == msg.LineAddr &&
 				c.l1d.State(msg.LineAddr).CanWrite() {
@@ -107,7 +108,7 @@ func (c *Core) applySnoop(msg event.Msg) {
 // Synchronization instructions execute here, non-speculatively.
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.robLen() > 0; n++ {
-		e := c.rob[c.robHead]
+		e := c.entry(c.robHead)
 		switch e.inst.Op.Class() {
 		case isa.ClassSync:
 			if !c.commitSync(e) {
@@ -142,21 +143,7 @@ func (c *Core) retireHead(e *robEntry) {
 	if c.rec != nil {
 		c.recordRetire(e)
 	}
-	c.rob[c.robHead] = nil
 	c.robHead++
-	if c.robHead == len(c.rob) {
-		// Window empty: reset to the start of the backing array so the
-		// full capacity is reusable and bySeq never walks a long prefix.
-		c.rob = c.rob[:0]
-		c.robHead = 0
-	} else if c.robHead >= 32 && c.robHead*2 >= len(c.rob) {
-		// Amortized compaction: copy the window down once the dead prefix
-		// dominates, so the backing array stays bounded by ~2×ROBSize.
-		n := copy(c.rob, c.rob[c.robHead:])
-		clear(c.rob[n:])
-		c.rob = c.rob[:n]
-		c.robHead = 0
-	}
 	if c.mapTable[e.inst.Dst] == e.seq {
 		c.mapTable[e.inst.Dst] = -1
 	}
@@ -172,7 +159,6 @@ func (c *Core) retireHead(e *robEntry) {
 	case isa.ClassBranch:
 		c.stats.Branches++
 	}
-	c.freeEntry(e)
 }
 
 // commitSync executes a lock or barrier at the head of the ROB. It returns
@@ -190,7 +176,7 @@ func (c *Core) commitSync(e *robEntry) bool {
 		}
 		addr := c.regs[e.inst.Src1] + uint64(e.inst.Imm)
 		if c.sync.TryLock(addr, c.cfg.ID, c.now) {
-			e.state = stDone
+			c.markDone(e)
 			return true
 		}
 		c.stats.LockRetries++
@@ -254,20 +240,19 @@ func (c *Core) commitStore(e *robEntry) bool {
 // completeExec marks issued instructions whose latency elapsed as done and
 // resolves branches, flushing on mispredictions.
 func (c *Core) completeExec() {
-	rob := c.robs()
-	for i := 0; i < len(rob); i++ {
-		e := rob[i]
+	for seq := c.robHead; seq < c.nextSeq; seq++ {
+		e := c.entry(seq)
 		if e.state != stIssued || e.doneAt > c.now {
 			continue
 		}
-		e.state = stDone
+		c.markDone(e)
 		if e.inst.Op.IsBranch() && !e.resolved {
 			e.resolved = true
 			c.pred.Update(e.pc, e.actualTaken)
 			if e.actualTaken != e.predTaken {
 				c.pred.Mispredicts++
 				c.stats.Mispredicts++
-				c.flushAfter(i)
+				c.flushAfter(seq)
 				next := e.pc + 1
 				if e.actualTaken {
 					next = int(e.inst.Imm)
@@ -280,60 +265,65 @@ func (c *Core) completeExec() {
 	}
 }
 
-// flushAfter squashes every ROB entry younger than window index i and the
+// flushAfter squashes every ROB entry younger than seq keep and the
 // entire fetch buffer, then rebuilds the map table from the surviving
-// entries. nextSeq rewinds to just past the youngest survivor so window
-// seqs stay contiguous (the bySeq invariant). Reusing squashed seqs is
-// safe: the only external holders of seqs are MSHR waiter lists, and a
-// reused-seq entry waiting on the same line necessarily merged into the
-// same outstanding MSHR entry, so a wakeup through the stale seq is a
-// wakeup the entry was owed anyway (applyReply re-checks state and line).
-func (c *Core) flushAfter(i int) {
+// entries. nextSeq rewinds to keep+1 so window seqs stay contiguous.
+// Reusing squashed seqs is safe: the only external holders of seqs are
+// MSHR waiter lists, and a reused-seq entry waiting on the same line
+// necessarily merged into the same outstanding MSHR entry, so a wakeup
+// through the stale seq is a wakeup the entry was owed anyway (applyReply
+// re-checks state and line).
+func (c *Core) flushAfter(keep int) {
 	c.stats.Flushes++
-	w := c.robs()
-	for j := i + 1; j < len(w); j++ {
-		e := w[j]
-		if c.serializeSeq == e.seq {
+	for seq := keep + 1; seq < c.nextSeq; seq++ {
+		if c.serializeSeq == seq {
 			c.serializeSeq = -1
 		}
-		c.freeEntry(e)
-		w[j] = nil
+		c.clearReady(seq)
 	}
-	c.rob = c.rob[:c.robHead+i+1]
-	c.nextSeq = w[i].seq + 1
+	c.dropSubscribers(keep)
+	c.nextSeq = keep + 1
 	c.fetchBuf = c.fetchBuf[:0]
 	for r := range c.mapTable {
 		c.mapTable[r] = -1
 	}
-	for _, e := range c.robs() {
-		if writesDest(e.inst) {
-			c.mapTable[e.inst.Dst] = e.seq
+	for seq := c.robHead; seq < c.nextSeq; seq++ {
+		if e := c.entry(seq); writesDest(e.inst) {
+			c.mapTable[e.inst.Dst] = seq
 		}
 	}
 }
 
-// issue selects up to IssueWidth ready instructions, oldest first, reads
-// their operands and starts execution, modeling per-class functional-unit
-// limits.
+// issue selects up to IssueWidth instructions from the ready set, oldest
+// first, reads their operands and starts execution, modeling per-class
+// functional-unit limits. An entry that cannot start this cycle (no free
+// port or unit, an older store with an unknown address, a full MSHR file)
+// stays ready and is tried again next cycle.
 func (c *Core) issue() {
 	slots := c.cfg.IssueWidth
 	memPorts := c.cfg.MemPortsPerCycle
 	fpOps := c.cfg.FPopsPerCycle
 	divs := c.cfg.DivsPerCycle
-	rob := c.robs()
-	for i := 0; i < len(rob) && slots > 0; i++ {
-		e := rob[i]
-		if e.state != stDispatched {
+	n := c.robLen()
+	for off := 0; off < n && slots > 0; off++ {
+		slot := (c.robHead + off) & (len(c.rob) - 1)
+		word := c.ready[slot>>6] >> (slot & 63)
+		if word == 0 {
+			off += 63 - slot&63 // on to the first slot of the next word
 			continue
 		}
+		if off += bits.TrailingZeros64(word); off >= n {
+			break // the window's tail shares its word with the head
+		}
+		seq := c.robHead + off
+		e := c.entry(seq)
 		cls := e.inst.Op.Class()
 		switch cls {
-		case isa.ClassSync, isa.ClassHalt, isa.ClassNop:
-			// Executed at commit (sync/halt) or trivially done (nop).
-			if cls == isa.ClassNop {
-				e.state = stDone
-				e.doneAt = c.now
-			}
+		case isa.ClassNop:
+			// Trivially done, taking no slot.
+			c.clearReady(seq)
+			c.markDone(e)
+			e.doneAt = c.now
 			continue
 		case isa.ClassLoad, isa.ClassStore:
 			if memPorts == 0 {
@@ -348,10 +338,10 @@ func (c *Core) issue() {
 				continue
 			}
 		}
-		issued := c.tryIssue(i, e)
-		if !issued {
+		if !c.tryIssue(e) {
 			continue
 		}
+		c.clearReady(seq)
 		slots--
 		switch cls {
 		case isa.ClassLoad, isa.ClassStore:
@@ -364,8 +354,8 @@ func (c *Core) issue() {
 	}
 }
 
-// tryIssue attempts to begin execution of ROB entry e (at index idx).
-func (c *Core) tryIssue(idx int, e *robEntry) bool {
+// tryIssue attempts to begin execution of ROB entry e.
+func (c *Core) tryIssue(e *robEntry) bool {
 	useS1, useS2 := reads(e.inst)
 	var a, b uint64
 	if useS1 {
@@ -389,7 +379,7 @@ func (c *Core) tryIssue(idx int, e *robEntry) bool {
 		e.doneAt = c.now + execLatency(isa.ClassBranch)
 		return true
 	case isa.ClassLoad:
-		return c.issueLoad(idx, e, a)
+		return c.issueLoad(e, a)
 	case isa.ClassStore:
 		e.addr = a + uint64(e.inst.Imm)
 		e.addrValid = true
@@ -406,14 +396,13 @@ func (c *Core) tryIssue(idx int, e *robEntry) bool {
 
 // issueLoad executes a load: memory disambiguation against older stores,
 // store-to-load forwarding, then L1D access with lock-up-free misses.
-func (c *Core) issueLoad(idx int, e *robEntry, base uint64) bool {
+func (c *Core) issueLoad(e *robEntry, base uint64) bool {
 	addr := base + uint64(e.inst.Imm)
 	// Disambiguate: every older store must have a known address; the
 	// youngest older store to the same word forwards its value.
 	var fwd *robEntry
-	rob := c.robs()
-	for i := 0; i < idx; i++ {
-		s := rob[i]
+	for seq := c.robHead; seq < e.seq; seq++ {
+		s := c.entry(seq)
 		if s.inst.Op != isa.Store {
 			continue
 		}
@@ -489,12 +478,16 @@ func (c *Core) dispatch() {
 		}
 		f := c.fetchBuf[k]
 		k++
-		e := c.allocEntry()
+		if c.robLen() == len(c.rob) {
+			c.growROB()
+		}
+		seq := c.nextSeq
+		c.nextSeq++
+		e := c.entry(seq)
 		*e = robEntry{
-			seq: c.nextSeq, pc: f.pc, inst: f.inst, state: stDispatched,
+			seq: seq, pc: f.pc, inst: f.inst, state: stDispatched,
 			predTaken: f.predTaken, srcProd: [2]int{-1, -1},
 		}
-		c.nextSeq++
 		useS1, useS2 := reads(f.inst)
 		if useS1 {
 			e.srcProd[0] = c.mapTable[f.inst.Src1]
@@ -502,13 +495,13 @@ func (c *Core) dispatch() {
 		if useS2 {
 			e.srcProd[1] = c.mapTable[f.inst.Src2]
 		}
+		c.subscribe(e)
 		if writesDest(f.inst) {
-			c.mapTable[f.inst.Dst] = e.seq
+			c.mapTable[f.inst.Dst] = seq
 		}
 		if f.inst.Op.IsSync() || f.inst.Op == isa.Halt {
-			c.serializeSeq = e.seq
+			c.serializeSeq = seq
 		}
-		c.rob = append(c.rob, e)
 	}
 	if k > 0 {
 		c.fetchBuf = c.fetchBuf[:copy(c.fetchBuf, c.fetchBuf[k:])]

@@ -1,0 +1,208 @@
+package core
+
+import "slacksim/internal/isa"
+
+// entryState tracks an in-flight instruction through the back end.
+type entryState uint8
+
+const (
+	stDispatched entryState = iota // in ROB, not yet issued
+	stIssued                       // executing; done at doneAt
+	stWaitMem                      // waiting for a memory-system reply
+	stDone                         // result ready; eligible to commit
+)
+
+// robEntry is one in-flight instruction.
+type robEntry struct {
+	seq   int
+	pc    int
+	inst  isa.Inst
+	state entryState
+
+	// srcProd holds the ROB seq of each source operand's producer, or -1
+	// when the value comes from the architectural register file.
+	srcProd [2]int
+
+	doneAt    int64
+	result    uint64
+	hasResult bool
+
+	// Branch bookkeeping.
+	predTaken   bool
+	actualTaken bool
+	resolved    bool
+
+	// Memory bookkeeping.
+	addr      uint64
+	addrValid bool
+	storeVal  uint64
+	// written marks a store whose architectural write was performed early
+	// because a snoop took the line (see applySnoop).
+	written bool
+
+	// Synchronization bookkeeping.
+	barrierGen     uint64
+	barrierArrived bool
+	nextLockTry    int64
+
+	// Wakeup state, derived from the fields above and rebuilt by Restore
+	// (the wire format does not carry it). pending counts the in-window
+	// producers of this entry's operands that are not done yet. Wake lists
+	// are intrusive: wakeHead names the youngest consumer operand
+	// subscribed to this entry, as a link seq<<1|operand, and that
+	// consumer's wakeNext[operand] names the next-older one; -1 ends a
+	// list.
+	pending  uint8
+	wakeHead int
+	wakeNext [2]int
+}
+
+// noLink ends a wake list.
+const noLink = -1
+
+// minROBRing is the ring's initial length: one word of the ready bitset.
+// Ring lengths are powers of two and multiples of 64, so slot = seq & mask
+// and every bitset word covers 64 consecutive slots.
+const minROBRing = 64
+
+// The reorder buffer is a ring of entry values: the entry with sequence
+// number seq lives at slot seq & (len(rob)-1). Window seqs are contiguous
+// — dispatch takes nextSeq++, commit advances robHead, a squash rewinds
+// nextSeq — so the live window is [robHead, nextSeq) and seq lookup is a
+// bounds check and a mask. The ring starts at minROBRing slots and doubles
+// while the window would overflow it, up to the first power of two that
+// holds ROBSize entries; after that dispatch, commit and squash never
+// allocate.
+//
+// The issue stage walks only the ready set, one bit per slot in ready: an
+// entry's bit is set while it is dispatched, is executed by the issue
+// stage (not a sync op or halt) and has no unfinished in-window producer.
+// Dispatch subscribes each entry to its unfinished producers; markDone,
+// the one transition to stDone, wakes the subscribers. An entry outside
+// the ready set would fail tryIssue's operand check, and an entry inside
+// it is retried every cycle until it issues, so walking the set oldest
+// first selects exactly what a scan of the whole window selects.
+
+// robLen returns the number of in-flight ROB entries.
+//
+//slacksim:hotpath
+func (c *Core) robLen() int { return c.nextSeq - c.robHead }
+
+// entry returns the ring slot of seq, which must be in the window.
+//
+//slacksim:hotpath
+func (c *Core) entry(seq int) *robEntry { return &c.rob[seq&(len(c.rob)-1)] }
+
+// bySeq returns the in-flight entry with the given seq, or nil when that
+// seq has committed, been squashed, or never dispatched.
+//
+//slacksim:hotpath
+func (c *Core) bySeq(seq int) *robEntry {
+	if seq < c.robHead || seq >= c.nextSeq {
+		return nil
+	}
+	return c.entry(seq)
+}
+
+// growROB doubles the ring and its ready bitset, moving the live window to
+// its slots under the new mask.
+func (c *Core) growROB() {
+	old, oldReady := c.rob, c.ready
+	n := max(2*len(old), minROBRing)
+	c.rob, c.ready = make([]robEntry, n), make([]uint64, n/64) //lint:allow hotpathalloc -- ring warm-up: doubles at most log2(ROBSize/64) times per core, then is reused
+	for seq := c.robHead; seq < c.nextSeq && len(old) > 0; seq++ {
+		slot := seq & (len(old) - 1)
+		*c.entry(seq) = old[slot]
+		if oldReady[slot>>6]&(1<<(slot&63)) != 0 {
+			c.setReady(seq)
+		}
+	}
+}
+
+//slacksim:hotpath
+func (c *Core) setReady(seq int) {
+	slot := seq & (len(c.rob) - 1)
+	c.ready[slot>>6] |= 1 << (slot & 63)
+}
+
+//slacksim:hotpath
+func (c *Core) clearReady(seq int) {
+	slot := seq & (len(c.rob) - 1)
+	c.ready[slot>>6] &^= 1 << (slot & 63)
+}
+
+// issuable reports whether the issue stage executes the instruction: sync
+// ops and halt execute at commit instead.
+func issuable(in isa.Inst) bool {
+	cls := in.Op.Class()
+	return cls != isa.ClassSync && cls != isa.ClassHalt
+}
+
+// subscribe sets up e's wakeup state from its srcProd: it counts the
+// operand producers still in flight and not done, links e into their wake
+// lists, and adds e to the ready set when none is left. Entries must
+// subscribe in seq order (dispatch order), which keeps every wake list
+// youngest first.
+//
+//slacksim:hotpath
+func (c *Core) subscribe(e *robEntry) {
+	e.pending = 0
+	e.wakeHead = noLink
+	e.wakeNext = [2]int{noLink, noLink}
+	for i, p := range e.srcProd {
+		pe := c.bySeq(p)
+		if pe == nil || pe.state == stDone {
+			continue
+		}
+		e.pending++
+		e.wakeNext[i] = pe.wakeHead
+		pe.wakeHead = e.seq<<1 | i
+	}
+	if e.pending == 0 && e.state == stDispatched && issuable(e.inst) {
+		c.setReady(e.seq)
+	}
+}
+
+// markDone moves e to stDone and wakes its subscribers: each loses one
+// pending producer and joins the ready set at zero. Every transition to
+// stDone goes through here.
+//
+//slacksim:hotpath
+func (c *Core) markDone(e *robEntry) {
+	e.state = stDone
+	for link := e.wakeHead; link != noLink; {
+		ce, op := c.entry(link>>1), link&1
+		link, ce.wakeNext[op] = ce.wakeNext[op], noLink
+		ce.pending--
+		if ce.pending == 0 {
+			c.setReady(ce.seq)
+		}
+	}
+	e.wakeHead = noLink
+}
+
+// dropSubscribers unlinks the subscribers younger than keep, which a
+// squash is about to discard, from every surviving entry's wake list. A
+// wake list runs youngest first, so they are its prefix; the squashed
+// entries' slots still hold their links until dispatch reuses them.
+//
+//slacksim:hotpath
+func (c *Core) dropSubscribers(keep int) {
+	for seq := c.robHead; seq <= keep; seq++ {
+		e := c.entry(seq)
+		for e.wakeHead != noLink && e.wakeHead>>1 > keep {
+			e.wakeHead = c.entry(e.wakeHead >> 1).wakeNext[e.wakeHead&1]
+		}
+	}
+}
+
+// rebuildWakeups recomputes the wakeup state of the whole window from the
+// entries' architectural fields, as dispatch built it.
+//
+//slacksim:hotpath
+func (c *Core) rebuildWakeups() {
+	clear(c.ready)
+	for seq := c.robHead; seq < c.nextSeq; seq++ {
+		c.subscribe(c.entry(seq))
+	}
+}

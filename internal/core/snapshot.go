@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"slacksim/internal/cache"
 	"slacksim/internal/isa"
 )
@@ -52,10 +55,7 @@ func (c *Core) Snapshot() *Snapshot {
 		dmshr:           c.dmshr.Snapshot(),
 		pred:            c.pred.Snapshot(),
 	}
-	s.rob = make([]robEntry, c.robLen())
-	for i, e := range c.robs() {
-		s.rob[i] = *e
-	}
+	s.rob = c.appendWindow(make([]robEntry, 0, c.robLen()))
 	s.fetchBuf = append([]fetched(nil), c.fetchBuf...)
 	return s
 }
@@ -75,10 +75,7 @@ func (c *Core) SnapshotInto(s *Snapshot) {
 	s.halted = c.halted
 	s.reqID = c.reqID
 	s.stats = c.stats
-	s.rob = s.rob[:0]
-	for _, e := range c.robs() {
-		s.rob = append(s.rob, *e)
-	}
+	s.rob = c.appendWindow(s.rob[:0])
 	s.fetchBuf = append(s.fetchBuf[:0], c.fetchBuf...)
 	if s.l1i == nil {
 		s.l1i, s.l1d = c.l1i.Snapshot(), c.l1d.Snapshot()         //lint:allow hotpathalloc -- one-time pool warm-up; later boundaries reuse the caches in place
@@ -93,12 +90,26 @@ func (c *Core) SnapshotInto(s *Snapshot) {
 	c.pred.SnapshotInto(s.pred)
 }
 
+// appendWindow appends the live ROB window, oldest first, to dst.
+//
+//slacksim:hotpath
+func (c *Core) appendWindow(dst []robEntry) []robEntry {
+	for seq := c.robHead; seq < c.nextSeq; seq++ {
+		dst = append(dst, *c.entry(seq))
+	}
+	return dst
+}
+
 // restoreScalars copies everything except the cache/MSHR/predictor
-// structures, recycling the live ROB entries through the freelist so a
-// restore allocates nothing once the pools are warm.
+// structures into the live core, placing the ROB window in the ring (which
+// a restore grows only past the ring's high-water size) and rebuilding the
+// wakeup state, which a snapshot's wire form does not carry.
 //
 //slacksim:hotpath
 func (c *Core) restoreScalars(s *Snapshot) {
+	for len(c.rob) < len(s.rob) {
+		c.growROB()
+	}
 	c.now = s.now
 	c.regs = s.regs
 	c.mapTable = s.mapTable
@@ -110,17 +121,11 @@ func (c *Core) restoreScalars(s *Snapshot) {
 	c.reqID = s.reqID
 	c.stats = s.stats
 
-	for _, e := range c.robs() {
-		c.freeEntry(e)
-	}
-	clear(c.rob)
-	c.rob = c.rob[:0]
-	c.robHead = 0
+	c.robHead = s.nextSeq - len(s.rob)
 	for i := range s.rob {
-		e := c.allocEntry()
-		*e = s.rob[i]
-		c.rob = append(c.rob, e)
+		*c.entry(c.robHead + i) = s.rob[i]
 	}
+	c.rebuildWakeups()
 	c.fetchBuf = append(c.fetchBuf[:0], s.fetchBuf...)
 }
 
@@ -135,6 +140,77 @@ func (c *Core) Restore(s *Snapshot) {
 	c.imshr.Restore(s.imshr)
 	c.dmshr.Restore(s.dmshr)
 	c.pred.Restore(s.pred)
+}
+
+// maxSeq bounds snapshot seqs so that a wake-list link, seq<<1|operand,
+// cannot overflow.
+const maxSeq = math.MaxInt >> 1
+
+// CheckSnapshot reports why s cannot be restored into c, or nil. Restore
+// trusts its snapshot, so one decoded from bytes that crossed a socket or
+// a disk must pass this first. The checks cover what the ring, the wake
+// lists and the register file index by: the ROB holds at most ROBSize
+// entries, their seqs are contiguous and end at nextSeq-1, each operand
+// producer is -1 or older than its consumer (a committed producer reads
+// the register file), mapTable and serializeSeq name -1 or an in-window
+// seq, states and register numbers are in range, and the cache, MSHR and
+// predictor state has this core's shape.
+func (c *Core) CheckSnapshot(s *Snapshot) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("core %d snapshot: "+format, append([]any{c.cfg.ID}, args...)...)
+	}
+	switch {
+	case s == nil || s.l1i == nil || s.l1d == nil || s.imshr == nil || s.dmshr == nil || s.pred == nil:
+		return bad("missing cache, MSHR or predictor state")
+	case s.l1i.Config() != c.l1i.Config() || s.l1d.Config() != c.l1d.Config():
+		return bad("L1 geometry differs from the core's")
+	case s.imshr.Cap() != c.imshr.Cap() || s.dmshr.Cap() != c.dmshr.Cap() ||
+		s.imshr.Len() > s.imshr.Cap() || s.dmshr.Len() > s.dmshr.Cap():
+		return bad("MSHR files differ from the core's")
+	case len(s.pred.counters) != len(c.pred.counters) || s.pred.mask != c.pred.mask:
+		return bad("predictor table differs from the core's")
+	case len(s.rob) > c.cfg.ROBSize:
+		return bad("ROB holds %d entries, ROBSize is %d", len(s.rob), c.cfg.ROBSize)
+	case len(s.fetchBuf) > c.cfg.FetchBufSize:
+		return bad("fetch buffer holds %d entries, FetchBufSize is %d", len(s.fetchBuf), c.cfg.FetchBufSize)
+	case s.nextSeq < len(s.rob) || s.nextSeq > maxSeq:
+		return bad("nextSeq %d cannot end a window of %d entries", s.nextSeq, len(s.rob))
+	}
+	head := s.nextSeq - len(s.rob)
+	inWindow := func(seq int) bool { return seq == -1 || seq >= head && seq < s.nextSeq }
+	for i := range s.rob {
+		e := &s.rob[i]
+		if e.seq != head+i {
+			return bad("ROB entry %d has seq %d, want %d (seqs contiguous, ending at nextSeq-1 = %d)",
+				i, e.seq, head+i, s.nextSeq-1)
+		}
+		if e.state > stDone || !regsInRange(e.inst) {
+			return bad("ROB entry %d (seq %d) has state %d or a register out of range", i, e.seq, e.state)
+		}
+		for _, p := range e.srcProd {
+			if p < -1 || p >= e.seq {
+				return bad("ROB entry seq %d names producer %d, which is not older", e.seq, p)
+			}
+		}
+	}
+	for r, p := range s.mapTable {
+		if !inWindow(p) {
+			return bad("mapTable[r%d] names seq %d outside the window [%d, %d)", r, p, head, s.nextSeq)
+		}
+	}
+	if !inWindow(s.serializeSeq) {
+		return bad("serializeSeq %d is outside the window [%d, %d)", s.serializeSeq, head, s.nextSeq)
+	}
+	for i, f := range s.fetchBuf {
+		if !regsInRange(f.inst) {
+			return bad("fetch buffer entry %d has a register out of range", i)
+		}
+	}
+	return nil
+}
+
+func regsInRange(in isa.Inst) bool {
+	return in.Dst < isa.NumRegs && in.Src1 < isa.NumRegs && in.Src2 < isa.NumRegs
 }
 
 // StartTracking begins dirty tracking in the core's caches for
@@ -164,10 +240,7 @@ func (c *Core) SyncSnapshot(s *Snapshot) {
 	s.reqID = c.reqID
 	s.stats = c.stats
 
-	s.rob = s.rob[:0]
-	for _, e := range c.robs() {
-		s.rob = append(s.rob, *e)
-	}
+	s.rob = c.appendWindow(s.rob[:0])
 	s.fetchBuf = append(s.fetchBuf[:0], c.fetchBuf...)
 
 	c.l1i.SyncSnapshot(s.l1i)
@@ -201,9 +274,8 @@ func (c *Core) StateEqual(o *Core) bool {
 		c.robLen() != o.robLen() || len(c.fetchBuf) != len(o.fetchBuf) {
 		return false
 	}
-	cw, ow := c.robs(), o.robs()
-	for i := range cw {
-		if *cw[i] != *ow[i] {
+	for i := 0; i < c.robLen(); i++ {
+		if *c.entry(c.robHead + i) != *o.entry(o.robHead + i) {
 			return false
 		}
 	}

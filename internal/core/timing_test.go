@@ -195,9 +195,10 @@ func TestSyncSerializesDispatch(t *testing.T) {
 	for i := 0; i < 200 && !h.core.Halted(); i++ {
 		h.core.Tick()
 		h.pump()
-		if h.core.InFlight() > 0 && h.core.rob[0].inst.Op == isa.LockAcq {
-			for _, e := range h.core.rob[1:] {
-				if e.state != stDispatched {
+		c := h.core
+		if c.InFlight() > 0 && c.entry(c.robHead).inst.Op == isa.LockAcq {
+			for seq := c.robHead + 1; seq < c.nextSeq; seq++ {
+				if e := c.entry(seq); e.state != stDispatched {
 					t.Fatalf("younger op %v advanced past an uncommitted lock", e.inst)
 				}
 			}

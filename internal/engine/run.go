@@ -274,8 +274,14 @@ func MustRun(m *Machine, cfg RunConfig) Results {
 	return res
 }
 
+// loop paces the run one pick at a time. It observes the clocks once per
+// pick, right after the picked core's chunk: the manager's step and the
+// next done check read that one observation, because servicing moves no
+// core clock. Only a rollback or a boundary, which can restore clocks,
+// takes a fresh one.
 func (r *detRun) loop() error {
-	for !r.done(r.observe()) {
+	o := r.observe()
+	for !r.done(o) {
 		if r.cfg.interrupted() {
 			return ErrInterrupted
 		}
@@ -288,6 +294,7 @@ func (r *detRun) loop() error {
 				if err := r.atBoundary(); err != nil {
 					return err
 				}
+				o = r.observe()
 				continue
 			}
 			return fmt.Errorf("engine: no runnable core at global=%d maxLocal=%d", r.global, ml)
@@ -312,21 +319,24 @@ func (r *detRun) loop() error {
 			r.retired[pick] = true
 		}
 
-		r.step(r.observe())
+		o = r.observe()
+		r.step(o)
 		if r.samp != nil {
-			r.sampleStep()
+			r.sampleStep(o.committed)
 		}
 		if r.pendingRollback {
 			r.doRollback()
+			o = r.observe()
 			continue
 		}
 		if r.nextCkpt > 0 && r.global == r.nextCkpt && r.allAtBoundary() {
 			if err := r.atBoundary(); err != nil {
 				return err
 			}
+			o = r.observe()
 		}
 	}
-	r.flush(r.observe())
+	r.flush(o)
 	return nil
 }
 
@@ -340,9 +350,13 @@ func (r *detRun) nextCore(ml int64) int {
 	if d := r.global + r.cfg.HostDriftCap; d < cap {
 		cap = d
 	}
+	// With a single core there is no partner to pick (Intn(0) would
+	// panic); the Lax-P2P gate degenerates to free-running, as on the
+	// parallel host.
+	lax := r.cfg.Scheme.Kind == LaxP2P && r.m.NumCores() > 1
 	runnable := r.runnable[:0]
 	for i, c := range r.m.cores {
-		if !r.retired[i] && c.Now() < cap && r.p2pClear(i) {
+		if !r.retired[i] && c.Now() < cap && (!lax || r.p2pClear(i)) {
 			runnable = append(runnable, i)
 		}
 	}
@@ -359,13 +373,8 @@ func (r *detRun) nextCore(ml int64) int {
 // free; at one it picks a random partner (kept until the sync resolves)
 // and may proceed only when it is no more than P2PMaxAhead cycles past
 // the partner. The globally slowest core is never gated, so the scheme is
-// deadlock-free.
+// deadlock-free. Only a lax-p2p run on two or more cores calls it.
 func (r *detRun) p2pClear(i int) bool {
-	// With a single core there is no partner to pick (Intn(0) would
-	// panic); the gate degenerates to free-running, as on the parallel host.
-	if r.cfg.Scheme.Kind != LaxP2P || r.m.NumCores() < 2 {
-		return true
-	}
 	c := r.m.cores[i]
 	if c.Now() < r.p2pNext[i] {
 		return true

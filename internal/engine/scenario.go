@@ -48,12 +48,12 @@ func newSampleState(plan sampling.Plan) *sampleState {
 	}
 }
 
-// step closes the current interval once the machine has committed past
-// its boundary and opens the next. Called from the engine loop after
-// global time is recomputed, so interval cycle counts are consistent.
-func (r *detRun) sampleStep() {
+// sampleStep closes the current interval once the machine's committed
+// instruction count, as the loop observed it, has passed its boundary and
+// opens the next. Called from the engine loop after global time is
+// recomputed, so interval cycle counts are consistent.
+func (r *detRun) sampleStep(committed uint64) {
 	s := r.samp
-	committed := r.m.committed()
 	if committed < s.nextBound {
 		return
 	}

@@ -156,50 +156,105 @@ func (r *detRun) exportSnapshot() ([]byte, error) {
 	for _, p := range r.gq {
 		hdr.GQ = append(hdr.GQ, pendingWire{Req: p.req, Arr: p.arr})
 	}
-
-	var cores []*core.Snapshot
-	for _, c := range r.m.cores {
-		cores = append(cores, c.Snapshot())
+	st := runState{hdr: hdr, unc: r.m.unc.Snapshot(), mem: r.m.mem, sync: r.m.sync, det: r.m.det, ctrl: r.ctrl}
+	for i, c := range r.m.cores {
+		st.cores = append(st.cores, c.Snapshot())
+		st.inQs = append(st.inQs, r.m.inQs[i].Snapshot())
+		st.outs = append(st.outs, r.m.outQs[i].Snapshot())
 	}
-	var inQs [][]event.Msg
-	var outs [][]event.Request
-	for i := range r.m.inQs {
-		inQs = append(inQs, r.m.inQs[i].Snapshot())
-		outs = append(outs, r.m.outQs[i].Snapshot())
-	}
+	return st.encode()
+}
 
-	// The gob stream is assembled in a pooled buffer (repeated exports of a
-	// live run reuse the same grown backing); the returned bytes are copied
-	// out because the caller owns them indefinitely.
+// runState is an exported run: the header, then every component state,
+// in gob stream order. The controller follows only when the header says
+// the run has one.
+type runState struct {
+	hdr   engineHeader
+	cores []*core.Snapshot
+	unc   *uncore.Snapshot
+	mem   *mem.Memory
+	sync  *syncctl.Controller
+	det   *violation.Detector
+	inQs  [][]event.Msg
+	outs  [][]event.Request
+	ctrl  *adaptive.Controller
+}
+
+// streamValue is one named value of the gob stream.
+type streamValue struct {
+	name string
+	v    any
+}
+
+// components lists the stream's values after the header, as pointers so
+// that the same list serves the encoder and the decoder.
+func (s *runState) components() []streamValue {
+	return []streamValue{
+		{"cores", &s.cores},
+		{"uncore", s.unc},
+		{"memory", s.mem},
+		{"sync", s.sync},
+		{"detector", s.det},
+		{"inqs", &s.inQs},
+		{"outqs", &s.outs},
+	}
+}
+
+// encode serializes the state. The gob stream is assembled in a pooled
+// buffer (repeated exports of a live run reuse the same grown backing);
+// the returned bytes are copied out because the caller owns them
+// indefinitely.
+func (s *runState) encode() ([]byte, error) {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer encBufPool.Put(buf)
 	enc := gob.NewEncoder(buf)
-	for _, step := range []struct {
-		name string
-		v    any
-	}{
-		{"header", hdr},
-		{"cores", cores},
-		{"uncore", r.m.unc.Snapshot()},
-		{"memory", r.m.mem},
-		{"sync", r.m.sync},
-		{"detector", r.m.det},
-		{"inqs", inQs},
-		{"outqs", outs},
-	} {
-		if err := enc.Encode(step.v); err != nil {
-			return nil, fmt.Errorf("engine: snapshot %s: %w", step.name, err)
+	if err := enc.Encode(&s.hdr); err != nil {
+		return nil, fmt.Errorf("engine: snapshot header: %w", err)
+	}
+	for _, c := range s.components() {
+		if err := enc.Encode(c.v); err != nil {
+			return nil, fmt.Errorf("engine: snapshot %s: %w", c.name, err)
 		}
 	}
-	if hdr.HasCtrl {
-		if err := enc.Encode(r.ctrl); err != nil {
+	if s.hdr.HasCtrl {
+		if err := enc.Encode(s.ctrl); err != nil {
 			return nil, fmt.Errorf("engine: snapshot controller: %w", err)
 		}
 	}
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out, nil
+}
+
+// decodeRunState decodes an exported run for a machine of numCores cores.
+// It checks the header's version and core count before it sizes anything
+// by them; what the components hold is the caller's to check.
+func decodeRunState(state []byte, numCores int) (*runState, error) {
+	dec := gob.NewDecoder(bytes.NewReader(state))
+	s := &runState{}
+	if err := dec.Decode(&s.hdr); err != nil {
+		return nil, fmt.Errorf("engine: resume header: %w", err)
+	}
+	if s.hdr.Version != EngineStateVersion {
+		return nil, fmt.Errorf("engine: resume: state version %d, this binary speaks %d", s.hdr.Version, EngineStateVersion)
+	}
+	if s.hdr.NumCores != numCores {
+		return nil, fmt.Errorf("engine: resume: state has %d cores, machine has %d", s.hdr.NumCores, numCores)
+	}
+	s.unc, s.mem, s.sync, s.det = &uncore.Snapshot{}, mem.New(), syncctl.New(numCores), violation.NewDetector()
+	for _, c := range s.components() {
+		if err := dec.Decode(c.v); err != nil {
+			return nil, fmt.Errorf("engine: resume %s: %w", c.name, err)
+		}
+	}
+	if s.hdr.HasCtrl {
+		s.ctrl = &adaptive.Controller{}
+		if err := dec.Decode(s.ctrl); err != nil {
+			return nil, fmt.Errorf("engine: resume controller: %w", err)
+		}
+	}
+	return s, nil
 }
 
 // Resume continues a run exported by a snapshot request. The machine
@@ -216,17 +271,11 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	}
 	cfg = r.cfg
 
-	dec := gob.NewDecoder(bytes.NewReader(state))
-	var hdr engineHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return Results{}, fmt.Errorf("engine: resume header: %w", err)
+	st, err := decodeRunState(state, m.NumCores())
+	if err != nil {
+		return Results{}, err
 	}
-	if hdr.Version != EngineStateVersion {
-		return Results{}, fmt.Errorf("engine: resume: state version %d, this binary speaks %d", hdr.Version, EngineStateVersion)
-	}
-	if hdr.NumCores != m.NumCores() {
-		return Results{}, fmt.Errorf("engine: resume: state has %d cores, machine has %d", hdr.NumCores, m.NumCores())
-	}
+	hdr := st.hdr
 	if hdr.Seed != cfg.Seed {
 		return Results{}, fmt.Errorf("engine: resume: state seed %d, config seed %d", hdr.Seed, cfg.Seed)
 	}
@@ -236,56 +285,32 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	if len(hdr.Retired) != m.NumCores() {
 		return Results{}, fmt.Errorf("engine: resume: retired mask has %d entries for %d cores", len(hdr.Retired), m.NumCores())
 	}
-
-	var cores []*core.Snapshot
-	unc := &uncore.Snapshot{}
-	memImg := mem.New()
-	sctl := syncctl.New(hdr.NumCores)
-	det := violation.NewDetector()
-	var inQs [][]event.Msg
-	var outs [][]event.Request
-	for _, step := range []struct {
-		name string
-		v    any
-	}{
-		{"cores", &cores},
-		{"uncore", unc},
-		{"memory", memImg},
-		{"sync", sctl},
-		{"detector", det},
-		{"inqs", &inQs},
-		{"outqs", &outs},
-	} {
-		if err := dec.Decode(step.v); err != nil {
-			return Results{}, fmt.Errorf("engine: resume %s: %w", step.name, err)
-		}
-	}
-	if hdr.HasCtrl {
-		r.ctrl = &adaptive.Controller{}
-		if err := dec.Decode(r.ctrl); err != nil {
-			return Results{}, fmt.Errorf("engine: resume controller: %w", err)
-		}
-	}
-	if len(cores) != m.NumCores() || len(inQs) != m.NumCores() || len(outs) != m.NumCores() {
+	if len(st.cores) != m.NumCores() || len(st.inQs) != m.NumCores() || len(st.outs) != m.NumCores() {
 		return Results{}, fmt.Errorf("engine: resume: component counts do not match %d cores", m.NumCores())
 	}
 	if cfg.Scheme.Kind == Adaptive && !hdr.HasCtrl {
 		return Results{}, fmt.Errorf("engine: resume: adaptive scheme but no controller state")
 	}
+	for i, c := range m.cores {
+		if err := c.CheckSnapshot(st.cores[i]); err != nil {
+			return Results{}, fmt.Errorf("engine: resume: %w", err)
+		}
+	}
+	r.ctrl = st.ctrl
 
 	// Overwrite the fresh machine's components in place (the machine's
 	// internal wiring — queues shared with the uncore, the detector fed by
 	// it — stays intact because every Restore copies content, not
 	// pointers).
 	for i, c := range m.cores {
-		c.Restore(cores[i])
-		m.inQs[i].Restore(inQs[i])
-		m.outQs[i].Restore(outs[i])
+		c.Restore(st.cores[i])
+		m.inQs[i].Restore(st.inQs[i])
+		m.outQs[i].Restore(st.outs[i])
 	}
-	m.unc.Restore(unc)
-	m.mem.Restore(memImg)
-	m.sync.Restore(sctl)
-	m.det.Restore(det)
+	m.unc.Restore(st.unc)
+	m.mem.Restore(st.mem)
+	m.sync.Restore(st.sync)
+	m.det.Restore(st.det)
 
 	for i := uint64(0); i < hdr.RNGDraws; i++ {
 		r.rngSrc.Int63()

@@ -16,7 +16,7 @@ import (
 const hotpathDirective = "//slacksim:hotpath"
 
 // HotPathAlloc protects the steady-state allocation profile of
-// checkpoint restore, event-queue drain, and robEntry recycling: after
+// checkpoint restore, event-queue drain, and the ROB ring: after
 // pool warm-up these paths run allocation-free, and that property (a
 // ~24x reduction, measured in PR 3; ~130x by PR 8) dies by a thousand
 // innocent-looking appends. Any function carrying //slacksim:hotpath in

@@ -534,7 +534,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, s.view(j, false, true))
 		return
 	}
-	j, err := s.queue.Submit(key, sp)
+	j, err := s.enqueueLocked(key, sp, nil)
 	if err != nil {
 		s.mu.Unlock()
 		if errors.Is(err, jobqueue.ErrFull) {
@@ -547,20 +547,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight[key] = j
 	s.mu.Unlock()
-	s.admit(j.ID)
 	s.cfg.Journal.JobSubmitted(j.ID, key, sp)
 	writeJSON(w, http.StatusAccepted, s.view(j, false, false))
 }
 
-// admit registers a freshly-enqueued job's interrupt and
-// snapshot-request flags.
-func (s *Server) admit(id string) {
+// enqueueLocked submits a job and registers its interrupt and
+// snapshot-request flags and its resume snapshot, if any. It holds imu
+// and smu across the submit, so a worker that takes the job at once
+// (runJob reads all three under those locks) still finds them. The
+// caller holds s.mu.
+func (s *Server) enqueueLocked(key string, sp spec.Spec, resume []byte) (*jobqueue.Job, error) {
 	s.imu.Lock()
-	s.interrupts[id] = new(atomic.Bool)
-	s.imu.Unlock()
+	defer s.imu.Unlock()
 	s.smu.Lock()
-	s.snapReqs[id] = new(atomic.Bool)
-	s.smu.Unlock()
+	defer s.smu.Unlock()
+	j, err := s.queue.Submit(key, sp)
+	if err != nil {
+		return nil, err
+	}
+	s.interrupts[j.ID] = new(atomic.Bool)
+	s.snapReqs[j.ID] = new(atomic.Bool)
+	if len(resume) > 0 {
+		s.resumes[j.ID] = resume
+	}
+	return j, nil
 }
 
 // maxSnapshotBody bounds POST /v1/resume bodies (a snapshot is the full
@@ -602,7 +612,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, s.view(j, false, true))
 		return
 	}
-	j, err := s.queue.Submit(key, sp)
+	j, err := s.enqueueLocked(key, sp, blob)
 	if err != nil {
 		s.mu.Unlock()
 		if errors.Is(err, jobqueue.ErrFull) {
@@ -615,10 +625,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight[key] = j
 	s.mu.Unlock()
-	s.admit(j.ID)
-	s.smu.Lock()
-	s.resumes[j.ID] = blob
-	s.smu.Unlock()
 	// Journaled like any admission: if the daemon crashes before the run
 	// finishes, the recovered job restarts from its spec (the snapshot is
 	// not persisted — determinism makes the restart merely slower, never
