@@ -51,7 +51,7 @@ type Core struct {
 	mem  *mem.Memory
 	sync *syncctl.Controller
 
-	outQ *event.Shard[event.Request]
+	outQ *event.Queue[event.Request]
 	inQ  *event.Queue[event.Msg]
 
 	l1i, l1d *cache.Cache
@@ -66,10 +66,13 @@ type Core struct {
 	// in-flight producer, or -1.
 	mapTable [isa.NumRegs]int
 
-	// rob is the reorder-buffer ring and ready its ready-set bitset; the
-	// live window is [robHead, nextSeq). See rob.go.
+	// rob is the reorder-buffer ring; ready, issued and stores are its
+	// one-bit-per-slot ready set, executing set and store set. The live
+	// window is [robHead, nextSeq). See rob.go.
 	rob      []robEntry
 	ready    []uint64
+	issued   []uint64
+	stores   []uint64
 	robHead  int
 	nextSeq  int
 	fetchBuf []fetched
@@ -96,7 +99,7 @@ type Core struct {
 // synchronization controller, communicating through outQ (to the manager)
 // and inQ (from the manager).
 func New(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controller,
-	outQ *event.Shard[event.Request], inQ *event.Queue[event.Msg]) (*Core, error) {
+	outQ *event.Queue[event.Request], inQ *event.Queue[event.Msg]) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,7 +130,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controller,
 
 // MustNew is New but panics on error, for static configurations.
 func MustNew(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controller,
-	outQ *event.Shard[event.Request], inQ *event.Queue[event.Msg]) *Core {
+	outQ *event.Queue[event.Request], inQ *event.Queue[event.Msg]) *Core {
 	c, err := New(cfg, prog, m, sc, outQ, inQ)
 	if err != nil {
 		panic(err)
@@ -155,6 +158,8 @@ func (c *Core) Reset(prog *isa.Program) error {
 		c.mapTable[i] = -1
 	}
 	clear(c.ready)
+	clear(c.issued)
+	clear(c.stores)
 	c.robHead = 0
 	c.nextSeq = 0
 	c.fetchBuf = c.fetchBuf[:0]

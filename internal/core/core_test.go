@@ -17,7 +17,7 @@ type harness struct {
 	core *Core
 	mem  *mem.Memory
 	sync *syncctl.Controller
-	outQ *event.Shard[event.Request]
+	outQ *event.Queue[event.Request]
 	inQ  *event.Queue[event.Msg]
 
 	latency int64
@@ -40,7 +40,7 @@ func newHarnessProg(t *testing.T, prog *isa.Program) *harness {
 	h := &harness{
 		mem:     mem.New(),
 		sync:    syncctl.New(1),
-		outQ:    event.NewShard[event.Request](),
+		outQ:    event.NewQueue[event.Request](),
 		inQ:     event.NewQueue[event.Msg](),
 		latency: 10,
 	}

@@ -15,11 +15,14 @@ import (
 	"slacksim/internal/syncctl"
 )
 
-// issueScan is the issue stage before the ready set existed: a scan of the
-// whole window, oldest first, that tries every dispatched entry. It is the
-// oracle the ready-set walk must match decision for decision. It clears
-// the ready bit of what it issues, so both cores keep comparable wakeup
-// state, but it never reads the ready set.
+// The reference stages below are the pipeline before its bitsets existed:
+// each scans the whole window (or its older part) oldest first. They are
+// the oracle the bitset walks must match decision for decision. They
+// clear the bits of what they issue and complete, so both cores keep
+// comparable derived state, but they never read a bitset.
+
+// issueScan is the issue stage before the ready set: it tries every
+// dispatched entry, disambiguating loads with disambiguateScan.
 func (c *Core) issueScan() {
 	slots := c.cfg.IssueWidth
 	memPorts := c.cfg.MemPortsPerCycle
@@ -34,7 +37,7 @@ func (c *Core) issueScan() {
 		switch cls {
 		case isa.ClassSync, isa.ClassHalt, isa.ClassNop:
 			if cls == isa.ClassNop {
-				c.clearReady(seq)
+				c.clearBit(c.ready, seq)
 				c.markDone(e)
 				e.doneAt = c.now
 			}
@@ -52,10 +55,10 @@ func (c *Core) issueScan() {
 				continue
 			}
 		}
-		if !c.tryIssue(e) {
+		if !c.tryIssueScan(e) {
 			continue
 		}
-		c.clearReady(seq)
+		c.clearBit(c.ready, seq)
 		slots--
 		switch cls {
 		case isa.ClassLoad, isa.ClassStore:
@@ -68,14 +71,65 @@ func (c *Core) issueScan() {
 	}
 }
 
-// tickScan is Tick with the oracle issue stage.
+// tryIssueScan is tryIssue with a load's disambiguation done by
+// disambiguateScan.
+func (c *Core) tryIssueScan(e *robEntry) bool {
+	if e.inst.Op.Class() != isa.ClassLoad {
+		return c.tryIssue(e)
+	}
+	a, _, ok := c.operands(e)
+	if !ok {
+		return false
+	}
+	addr := a + uint64(e.inst.Imm)
+	fwd, ok := c.disambiguateScan(e.seq, addr)
+	if !ok {
+		return false
+	}
+	return c.issueLoad(e, addr, fwd)
+}
+
+// disambiguateScan is disambiguate before the store set: it visits every
+// older entry and skips the ones that are not stores.
+func (c *Core) disambiguateScan(seq int, addr uint64) (fwd *robEntry, ok bool) {
+	for older := c.robHead; older < seq; older++ {
+		s := c.entry(older)
+		if s.inst.Op != isa.Store {
+			continue
+		}
+		if !s.addrValid {
+			return nil, false
+		}
+		if s.addr == addr {
+			fwd = s
+		}
+	}
+	return fwd, true
+}
+
+// completeExecScan is completeExec before the issued set: it visits every
+// window entry and completes the issued ones whose latency elapsed.
+func (c *Core) completeExecScan() {
+	for seq := c.robHead; seq < c.nextSeq; seq++ {
+		e := c.entry(seq)
+		if e.state != stIssued || e.doneAt > c.now {
+			continue
+		}
+		c.clearBit(c.issued, seq)
+		if c.complete(e) {
+			return
+		}
+	}
+}
+
+// tickScan is Tick with the reference issue and completion stages.
 func (c *Core) tickScan() {
 	c.processInQ()
 	if c.halted {
 		c.stats.IdleAfterEnd++
 	} else {
 		c.commit()
-		c.completeExec()
+		c.completeExecScan()
 		c.issueScan()
 		c.dispatch()
 		c.fetch()
@@ -92,7 +146,7 @@ type noisyBus struct {
 	core *Core
 	mem  *mem.Memory
 	sync *syncctl.Controller
-	outQ *event.Shard[event.Request]
+	outQ *event.Queue[event.Request]
 	inQ  *event.Queue[event.Msg]
 	rng  *rand.Rand
 }
@@ -102,7 +156,7 @@ func newNoisyBus(t *testing.T, cfg Config, prog *isa.Program, seed int64) *noisy
 	b := &noisyBus{
 		mem:  mem.New(),
 		sync: syncctl.New(1),
-		outQ: event.NewShard[event.Request](),
+		outQ: event.NewQueue[event.Request](),
 		inQ:  event.NewQueue[event.Msg](),
 		rng:  rand.New(rand.NewSource(seed)),
 	}
@@ -175,10 +229,10 @@ func viaWire(t *testing.T, s *Snapshot) *Snapshot {
 	return out
 }
 
-// wakeState is a core's derived wakeup state: the ready bitset and every
-// window entry's pending count and links.
+// wakeState is a core's derived state: the ready, issued and stores
+// bitsets and every window entry's pending count and links.
 func wakeState(c *Core) string {
-	s := fmt.Sprintf("ready=%x", c.ready)
+	s := fmt.Sprintf("ready=%x issued=%x stores=%x", c.ready, c.issued, c.stores)
 	for seq := c.robHead; seq < c.nextSeq; seq++ {
 		e := c.entry(seq)
 		s += fmt.Sprintf(" %d:%d/%d/%v", seq, e.pending, e.wakeHead, e.wakeNext)
@@ -186,14 +240,14 @@ func wakeState(c *Core) string {
 	return s
 }
 
-// checkWakeState fails unless c's incrementally maintained wakeup state is
-// exactly what a rebuild from the window computes.
+// checkWakeState fails unless c's incrementally maintained derived state
+// is exactly what a rebuild from the window computes.
 func checkWakeState(t *testing.T, c *Core, where string) {
 	t.Helper()
 	before := wakeState(c)
 	c.rebuildWakeups()
 	if after := wakeState(c); after != before {
-		t.Fatalf("%s: wakeup state drifted from a rebuild\n have %s\n want %s", where, before, after)
+		t.Fatalf("%s: derived state drifted from a rebuild\n have %s\n want %s", where, before, after)
 	}
 }
 
@@ -226,15 +280,17 @@ func streamProgram(rng *rand.Rand) *isa.Program {
 }
 
 // TestIssueMatchesScanOracle drives random programs through two cores in
-// lockstep, one issuing from the ready set and one through the old
-// whole-window scan, against identical randomized memory systems, and
-// requires identical state after every cycle — so every issue decision,
-// retry and completion is the same. The runs cover mispredict flushes,
-// MSHR-full retries (one to three data MSHRs), snoops that send a done
-// store back to memory, a mid-run rollback of both cores (the ready-set
-// core restored from the wire form, which carries no wakeup state), and
-// ring growth, at ROB sizes 8, 64 and 128. After every cycle the ready-set
-// core's wakeup state must also equal a rebuild from its window.
+// lockstep, one running the bitset-driven stages (issue from the ready
+// set, completion from the issued set, disambiguation over the store set)
+// and one the old whole-window scans, against identical randomized memory
+// systems, and requires identical state after every cycle — so every
+// issue decision, retry, forwarding choice, completion and predictor
+// update is the same. The runs cover mispredict flushes, MSHR-full retries
+// (one to three data MSHRs), snoops that send a done store back to memory,
+// a mid-run rollback of both cores (the bitset core restored from the wire
+// form, which carries no derived state), and ring growth, at ROB sizes 8,
+// 64 and 128. After every cycle the bitset core's derived state (the three
+// bitsets and the wake lists) must also equal a rebuild from its window.
 func TestIssueMatchesScanOracle(t *testing.T) {
 	const programs = 40
 	var flushes, mshrFull, rollbacks, grown uint64

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/coherence"
@@ -35,10 +34,11 @@ func (c *Core) Tick() {
 // time reaches the entry's timestamp).
 func (c *Core) processInQ() {
 	for {
-		msg, ok := c.inQ.PopIf(func(m event.Msg) bool { return m.TS <= c.now })
-		if !ok {
+		msg, ok := c.inQ.Peek()
+		if !ok || msg.TS > c.now {
 			return
 		}
+		c.inQ.Pop()
 		switch msg.Kind {
 		case event.MsgReply:
 			c.applyReply(msg)
@@ -155,6 +155,7 @@ func (c *Core) retireHead(e *robEntry) {
 	case isa.ClassLoad:
 		c.stats.Loads++
 	case isa.ClassStore:
+		c.clearBit(c.stores, e.seq)
 		c.stats.Stores++
 	case isa.ClassBranch:
 		c.stats.Branches++
@@ -237,32 +238,48 @@ func (c *Core) commitStore(e *robEntry) bool {
 	return true
 }
 
-// completeExec marks issued instructions whose latency elapsed as done and
-// resolves branches, flushing on mispredictions.
+// completeExec marks issued instructions whose latency elapsed as done
+// and resolves branches, flushing on mispredictions. It walks the issued
+// set oldest first, so branches resolve, and train the predictor, in
+// window order, and nothing younger than a mispredict completes.
 func (c *Core) completeExec() {
-	for seq := c.robHead; seq < c.nextSeq; seq++ {
+	n := c.robLen()
+	for off := c.nextSet(c.issued, 0, n); off < n; off = c.nextSet(c.issued, off+1, n) {
+		seq := c.robHead + off
 		e := c.entry(seq)
-		if e.state != stIssued || e.doneAt > c.now {
+		if e.doneAt > c.now {
 			continue
 		}
-		c.markDone(e)
-		if e.inst.Op.IsBranch() && !e.resolved {
-			e.resolved = true
-			c.pred.Update(e.pc, e.actualTaken)
-			if e.actualTaken != e.predTaken {
-				c.pred.Mispredicts++
-				c.stats.Mispredicts++
-				c.flushAfter(seq)
-				next := e.pc + 1
-				if e.actualTaken {
-					next = int(e.inst.Imm)
-				}
-				c.fetchPC = next
-				c.fetchStallUntil = c.now + int64(c.cfg.MispredictPenalty)
-				return
-			}
+		c.clearBit(c.issued, seq)
+		if c.complete(e) {
+			return
 		}
 	}
+}
+
+// complete moves an issued entry whose latency elapsed to stDone and
+// resolves it if it is a branch. On a mispredict it squashes everything
+// younger, redirects fetch and reports true.
+func (c *Core) complete(e *robEntry) (flushed bool) {
+	c.markDone(e)
+	if !e.inst.Op.IsBranch() || e.resolved {
+		return false
+	}
+	e.resolved = true
+	c.pred.Update(e.pc, e.actualTaken)
+	if e.actualTaken == e.predTaken {
+		return false
+	}
+	c.pred.Mispredicts++
+	c.stats.Mispredicts++
+	c.flushAfter(e.seq)
+	next := e.pc + 1
+	if e.actualTaken {
+		next = int(e.inst.Imm)
+	}
+	c.fetchPC = next
+	c.fetchStallUntil = c.now + int64(c.cfg.MispredictPenalty)
+	return true
 }
 
 // flushAfter squashes every ROB entry younger than seq keep and the
@@ -279,7 +296,9 @@ func (c *Core) flushAfter(keep int) {
 		if c.serializeSeq == seq {
 			c.serializeSeq = -1
 		}
-		c.clearReady(seq)
+		c.clearBit(c.ready, seq)
+		c.clearBit(c.issued, seq)
+		c.clearBit(c.stores, seq)
 	}
 	c.dropSubscribers(keep)
 	c.nextSeq = keep + 1
@@ -305,23 +324,14 @@ func (c *Core) issue() {
 	fpOps := c.cfg.FPopsPerCycle
 	divs := c.cfg.DivsPerCycle
 	n := c.robLen()
-	for off := 0; off < n && slots > 0; off++ {
-		slot := (c.robHead + off) & (len(c.rob) - 1)
-		word := c.ready[slot>>6] >> (slot & 63)
-		if word == 0 {
-			off += 63 - slot&63 // on to the first slot of the next word
-			continue
-		}
-		if off += bits.TrailingZeros64(word); off >= n {
-			break // the window's tail shares its word with the head
-		}
+	for off := c.nextSet(c.ready, 0, n); off < n && slots > 0; off = c.nextSet(c.ready, off+1, n) {
 		seq := c.robHead + off
 		e := c.entry(seq)
 		cls := e.inst.Op.Class()
 		switch cls {
 		case isa.ClassNop:
 			// Trivially done, taking no slot.
-			c.clearReady(seq)
+			c.clearBit(c.ready, seq)
 			c.markDone(e)
 			e.doneAt = c.now
 			continue
@@ -341,7 +351,7 @@ func (c *Core) issue() {
 		if !c.tryIssue(e) {
 			continue
 		}
-		c.clearReady(seq)
+		c.clearBit(c.ready, seq)
 		slots--
 		switch cls {
 		case isa.ClassLoad, isa.ClassStore:
@@ -356,30 +366,22 @@ func (c *Core) issue() {
 
 // tryIssue attempts to begin execution of ROB entry e.
 func (c *Core) tryIssue(e *robEntry) bool {
-	useS1, useS2 := reads(e.inst)
-	var a, b uint64
-	if useS1 {
-		v, ok := c.operand(e, 0, e.inst.Src1)
-		if !ok {
-			return false
-		}
-		a = v
-	}
-	if useS2 {
-		v, ok := c.operand(e, 1, e.inst.Src2)
-		if !ok {
-			return false
-		}
-		b = v
+	a, b, ok := c.operands(e)
+	if !ok {
+		return false
 	}
 	switch e.inst.Op.Class() {
 	case isa.ClassBranch:
 		e.actualTaken = isa.BranchTaken(e.inst, a, b)
-		e.state = stIssued
-		e.doneAt = c.now + execLatency(isa.ClassBranch)
+		c.execute(e, execLatency(isa.ClassBranch))
 		return true
 	case isa.ClassLoad:
-		return c.issueLoad(e, a)
+		addr := a + uint64(e.inst.Imm)
+		fwd, ok := c.disambiguate(e.seq, addr)
+		if !ok {
+			return false
+		}
+		return c.issueLoad(e, addr, fwd)
 	case isa.ClassStore:
 		e.addr = a + uint64(e.inst.Imm)
 		e.addrValid = true
@@ -388,46 +390,74 @@ func (c *Core) tryIssue(e *robEntry) bool {
 	default:
 		e.result = isa.ALUResult(e.inst, a, b)
 		e.hasResult = true
-		e.state = stIssued
-		e.doneAt = c.now + execLatency(e.inst.Op.Class())
+		c.execute(e, execLatency(e.inst.Op.Class()))
 		return true
 	}
 }
 
-// issueLoad executes a load: memory disambiguation against older stores,
-// store-to-load forwarding, then L1D access with lock-up-free misses.
-func (c *Core) issueLoad(e *robEntry, base uint64) bool {
-	addr := base + uint64(e.inst.Imm)
-	// Disambiguate: every older store must have a known address; the
-	// youngest older store to the same word forwards its value.
-	var fwd *robEntry
-	for seq := c.robHead; seq < e.seq; seq++ {
-		s := c.entry(seq)
-		if s.inst.Op != isa.Store {
-			continue
+// operands reads the source values e consumes; ok is false while one of
+// them is still being produced.
+func (c *Core) operands(e *robEntry) (a, b uint64, ok bool) {
+	useS1, useS2 := reads(e.inst)
+	if useS1 {
+		if a, ok = c.operand(e, 0, e.inst.Src1); !ok {
+			return 0, 0, false
 		}
+	}
+	if useS2 {
+		if b, ok = c.operand(e, 1, e.inst.Src2); !ok {
+			return 0, 0, false
+		}
+	}
+	return a, b, true
+}
+
+// execute starts e on a functional unit: it completes lat cycles from now.
+//
+//slacksim:hotpath
+func (c *Core) execute(e *robEntry, lat int64) {
+	e.state = stIssued
+	e.doneAt = c.now + lat
+	c.setBit(c.issued, e.seq)
+}
+
+// disambiguate checks a load at seq against every older store: each must
+// have a known address (ok is false until it does), and the youngest one
+// to the same word forwards its value (fwd, nil when none does). It walks
+// only the store set.
+//
+//slacksim:hotpath
+func (c *Core) disambiguate(seq int, addr uint64) (fwd *robEntry, ok bool) {
+	n := seq - c.robHead
+	for off := c.nextSet(c.stores, 0, n); off < n; off = c.nextSet(c.stores, off+1, n) {
+		s := c.entry(c.robHead + off)
 		if !s.addrValid {
-			return false // conservative: wait for the address
+			return nil, false // conservative: wait for the address
 		}
 		if s.addr == addr {
 			fwd = s
 		}
 	}
+	return fwd, true
+}
+
+// issueLoad executes a disambiguated load at addr: store-to-load
+// forwarding from fwd when it is set, else an L1D access with lock-up-free
+// misses.
+func (c *Core) issueLoad(e *robEntry, addr uint64, fwd *robEntry) bool {
 	e.addr = addr
 	e.addrValid = true
 	if fwd != nil {
 		e.result = fwd.storeVal
 		e.hasResult = true
-		e.state = stIssued
-		e.doneAt = c.now + 1 // forwarding latency
+		c.execute(e, 1) // forwarding latency
 		return true
 	}
 	line := cache.LineAddr(addr)
 	if c.l1d.Probe(line, false) {
 		e.result = c.mem.Read(addr)
 		e.hasResult = true
-		e.state = stIssued
-		e.doneAt = c.now + int64(c.l1d.Latency())
+		c.execute(e, int64(c.l1d.Latency()))
 		return true
 	}
 	entry, primary := c.dmshr.Allocate(line, false, e.seq, c.now)
@@ -447,8 +477,7 @@ func (c *Core) issueStore(e *robEntry) bool {
 	line := cache.LineAddr(e.addr)
 	st := c.l1d.State(line)
 	if st.CanWrite() {
-		e.state = stIssued
-		e.doneAt = c.now + execLatency(isa.ClassStore)
+		c.execute(e, execLatency(isa.ClassStore))
 		return true
 	}
 	entry, primary := c.dmshr.Allocate(line, true, e.seq, c.now)
@@ -496,6 +525,9 @@ func (c *Core) dispatch() {
 			e.srcProd[1] = c.mapTable[f.inst.Src2]
 		}
 		c.subscribe(e)
+		if f.inst.Op == isa.Store {
+			c.setBit(c.stores, seq)
+		}
 		if writesDest(f.inst) {
 			c.mapTable[f.inst.Dst] = seq
 		}

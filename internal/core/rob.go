@@ -1,6 +1,10 @@
 package core
 
-import "slacksim/internal/isa"
+import (
+	"math/bits"
+
+	"slacksim/internal/isa"
+)
 
 // entryState tracks an in-flight instruction through the back end.
 type entryState uint8
@@ -82,6 +86,16 @@ const minROBRing = 64
 // the ready set would fail tryIssue's operand check, and an entry inside
 // it is retried every cycle until it issues, so walking the set oldest
 // first selects exactly what a scan of the whole window selects.
+//
+// Two more bitsets, also one bit per slot, let the other per-cycle walks
+// skip what they would only pass over. A slot's issued bit is set exactly
+// while it holds a window entry in stIssued (execute sets it, completeExec
+// clears it when the entry completes, a squash clears it); its stores bit
+// is set exactly while it holds a window store (dispatch sets it, commit
+// and a squash clear it). completeExec walks issued and a load's
+// disambiguation walks stores, both oldest first, so each visits the
+// entries a window scan would act on, in the same order. Outside the
+// window every bit is clear.
 
 // robLen returns the number of in-flight ROB entries.
 //
@@ -104,31 +118,57 @@ func (c *Core) bySeq(seq int) *robEntry {
 	return c.entry(seq)
 }
 
-// growROB doubles the ring and its ready bitset, moving the live window to
-// its slots under the new mask.
+// growROB doubles the ring and its bitsets, moving the live window to its
+// slots under the new mask.
 func (c *Core) growROB() {
-	old, oldReady := c.rob, c.ready
+	old, oldSets := c.rob, [3][]uint64{c.ready, c.issued, c.stores}
 	n := max(2*len(old), minROBRing)
-	c.rob, c.ready = make([]robEntry, n), make([]uint64, n/64) //lint:allow hotpathalloc -- ring warm-up: doubles at most log2(ROBSize/64) times per core, then is reused
+	var sets []uint64
+	c.rob, sets = make([]robEntry, n), make([]uint64, 3*n/64) //lint:allow hotpathalloc -- ring warm-up: doubles at most log2(ROBSize/64) times per core, then is reused
+	w := n / 64
+	c.ready, c.issued, c.stores = sets[:w:w], sets[w:2*w:2*w], sets[2*w:]
+	newSets := [3][]uint64{c.ready, c.issued, c.stores}
 	for seq := c.robHead; seq < c.nextSeq && len(old) > 0; seq++ {
 		slot := seq & (len(old) - 1)
 		*c.entry(seq) = old[slot]
-		if oldReady[slot>>6]&(1<<(slot&63)) != 0 {
-			c.setReady(seq)
+		for i, set := range oldSets {
+			if set[slot>>6]&(1<<(slot&63)) != 0 {
+				c.setBit(newSets[i], seq)
+			}
 		}
 	}
 }
 
+// setBit sets seq's slot in one of the ring's bitsets.
+//
 //slacksim:hotpath
-func (c *Core) setReady(seq int) {
+func (c *Core) setBit(set []uint64, seq int) {
 	slot := seq & (len(c.rob) - 1)
-	c.ready[slot>>6] |= 1 << (slot & 63)
+	set[slot>>6] |= 1 << (slot & 63)
 }
 
+// clearBit clears seq's slot in one of the ring's bitsets.
+//
 //slacksim:hotpath
-func (c *Core) clearReady(seq int) {
+func (c *Core) clearBit(set []uint64, seq int) {
 	slot := seq & (len(c.rob) - 1)
-	c.ready[slot>>6] &^= 1 << (slot & 63)
+	set[slot>>6] &^= 1 << (slot & 63)
+}
+
+// nextSet returns the window offset (seq - robHead) of the oldest entry in
+// [off, n) whose bit is set in set, or n when there is none; n is at most
+// the window length. Whole clear words are skipped in one step.
+//
+//slacksim:hotpath
+func (c *Core) nextSet(set []uint64, off, n int) int {
+	for off < n {
+		slot := (c.robHead + off) & (len(c.rob) - 1)
+		if word := set[slot>>6] >> (slot & 63); word != 0 {
+			return min(off+bits.TrailingZeros64(word), n)
+		}
+		off += 64 - slot&63 // on to the first slot of the next word
+	}
+	return n
 }
 
 // issuable reports whether the issue stage executes the instruction: sync
@@ -159,7 +199,7 @@ func (c *Core) subscribe(e *robEntry) {
 		pe.wakeHead = e.seq<<1 | i
 	}
 	if e.pending == 0 && e.state == stDispatched && issuable(e.inst) {
-		c.setReady(e.seq)
+		c.setBit(c.ready, e.seq)
 	}
 }
 
@@ -175,7 +215,7 @@ func (c *Core) markDone(e *robEntry) {
 		link, ce.wakeNext[op] = ce.wakeNext[op], noLink
 		ce.pending--
 		if ce.pending == 0 {
-			c.setReady(ce.seq)
+			c.setBit(c.ready, ce.seq)
 		}
 	}
 	e.wakeHead = noLink
@@ -196,13 +236,23 @@ func (c *Core) dropSubscribers(keep int) {
 	}
 }
 
-// rebuildWakeups recomputes the wakeup state of the whole window from the
-// entries' architectural fields, as dispatch built it.
+// rebuildWakeups recomputes the wakeup state and the issued and stores
+// bitsets of the whole window from the entries' architectural fields, as
+// dispatch, issue and commit maintain them.
 //
 //slacksim:hotpath
 func (c *Core) rebuildWakeups() {
 	clear(c.ready)
+	clear(c.issued)
+	clear(c.stores)
 	for seq := c.robHead; seq < c.nextSeq; seq++ {
-		c.subscribe(c.entry(seq))
+		e := c.entry(seq)
+		c.subscribe(e)
+		if e.state == stIssued {
+			c.setBit(c.issued, seq)
+		}
+		if e.inst.Op == isa.Store {
+			c.setBit(c.stores, seq)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package engine
 
-import "slacksim/internal/core"
+import (
+	"slacksim/internal/core"
+	"slacksim/internal/event"
+)
 
 // RewriteCoreSnapshots decodes an exported run of a numCores-core machine,
 // passes every core snapshot's wire form through edit, and encodes the run
@@ -24,5 +27,25 @@ func RewriteCoreSnapshots(state []byte, numCores int, edit func(core int, wire [
 			return nil, err
 		}
 	}
+	return st.encode()
+}
+
+// RunHeader and PendingWire name an exported run's header and its GQ
+// entries' wire form for hostile-payload tests.
+type (
+	RunHeader   = engineHeader
+	PendingWire = pendingWire
+)
+
+// RewriteRunState decodes an exported run of a numCores-core machine,
+// passes its header and its per-core in- and out-queues through edit, and
+// encodes the run again. Tests use it to forge hostile resume payloads
+// from real ones.
+func RewriteRunState(state []byte, numCores int, edit func(h *RunHeader, inQs [][]event.Msg, outQs [][]event.Request)) ([]byte, error) {
+	st, err := decodeRunState(state, numCores)
+	if err != nil {
+		return nil, err
+	}
+	edit(&st.hdr, st.inQs, st.outs)
 	return st.encode()
 }

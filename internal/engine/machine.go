@@ -46,7 +46,7 @@ type Workload interface {
 type Machine struct {
 	cfg    MachineConfig
 	cores  []*core.Core
-	outQs  []*event.Shard[event.Request]
+	outQs  []*event.Queue[event.Request]
 	inQs   []*event.Queue[event.Msg]
 	unc    *uncore.Uncore
 	mem    *mem.Memory
@@ -105,12 +105,13 @@ func NewMachine(cfg MachineConfig, w Workload) (*Machine, error) {
 		return nil, fmt.Errorf("engine: workload %s init: %w", w.Name(), err)
 	}
 	for i := 0; i < cfg.NumCores; i++ {
-		// Each core's out-queue is its private shard of the global queue:
-		// the core appends lock-free, the manager merges the shards at
-		// drain time. In-queues stay mutex-protected queues — the uncore
-		// pushes invalidations into *other* cores' inQs, so they are not
-		// single-producer.
-		m.outQs = append(m.outQs, event.NewShard[event.Request]())
+		// Each core's out-queue is its private shard of the global queue,
+		// merged by the manager at drain time. Neither queue synchronizes:
+		// during a round only the core's worker touches them, between
+		// rounds only the manager (which is also where the uncore pushes
+		// replies and invalidations into in-queues), and the round
+		// barrier orders the hand-offs.
+		m.outQs = append(m.outQs, event.NewQueue[event.Request]())
 		m.inQs = append(m.inQs, event.NewQueue[event.Msg]())
 	}
 	m.unc, err = uncore.New(cfg.Uncore, m.inQs, m.det)

@@ -32,10 +32,12 @@ func comparePending(pa, pb pendingReq) int {
 }
 
 // observation is the manager's reading of the core clocks, taken by
-// observe whenever no core is ticking: between two picks on the
-// deterministic host, between two rounds on the parallel host.
+// observe whenever no core is ticking: between two rounds on the parallel
+// host; on the deterministic host once, then carried forward from pick to
+// pick by detRun.advance, which keeps it equal to what observe returns.
 type observation struct {
 	min       int64  // minimum local time over non-retired cores; -1 when none is left
+	atMin     int    // non-retired cores whose local time is min
 	local     uint64 // sum of every core's local time
 	committed uint64 // committed instructions, all cores
 	retired   int    // cores whose program has halted
@@ -45,10 +47,13 @@ type observation struct {
 func (o *observation) add(now int64, committed uint64, retired bool) {
 	o.local += uint64(now)
 	o.committed += committed
-	if retired {
+	switch {
+	case retired:
 		o.retired++
-	} else if o.min < 0 || now < o.min {
-		o.min = now
+	case o.min < 0 || now < o.min:
+		o.min, o.atMin = now, 1
+	case now == o.min:
+		o.atMin++
 	}
 }
 
@@ -246,8 +251,7 @@ func (g *manager) flush(o observation) {
 }
 
 // drainAll merges every core's OutQ into the GQ, stamping arrival order
-// (one DrainInto per shard into a reused buffer: no locks, no
-// allocations). In cycle-by-cycle mode each request is sifted down to its
+// (one DrainInto per queue into a reused buffer: no allocations). In cycle-by-cycle mode each request is sifted down to its
 // place in arbitration order; arrivals carry the latest timestamps, so the
 // sift is nearly always zero or one step.
 //
@@ -257,7 +261,7 @@ func (g *manager) drainAll() {
 	for _, q := range g.m.outQs {
 		if q.Len() == 0 {
 			// The common case by far (the deterministic host steps after
-			// every chunk of one core): skip the call into the shard.
+			// every chunk of one core): skip the call.
 			continue
 		}
 		g.drainBuf = q.DrainInto(g.drainBuf[:0])

@@ -67,7 +67,7 @@ func (m *Machine) reset(w Workload) error {
 		if err := c.Reset(progs[i]); err != nil {
 			return err
 		}
-		m.outQs[i].Reset()
+		m.outQs[i].Restore(nil)
 		m.inQs[i].Restore(nil)
 	}
 	m.wkName = w.Name()

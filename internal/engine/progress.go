@@ -75,6 +75,6 @@ func (p *progressNotifier) maybe(global int64, committed, counter uint64) {
 }
 
 // interrupted reports whether the external interrupt flag is raised.
-func (cfg RunConfig) interrupted() bool {
+func (cfg *RunConfig) interrupted() bool {
 	return cfg.Interrupt != nil && cfg.Interrupt.Load()
 }

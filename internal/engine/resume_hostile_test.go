@@ -15,9 +15,11 @@ import (
 	"slacksim"
 	"slacksim/client"
 	"slacksim/internal/cache"
+	"slacksim/internal/coherence"
 	"slacksim/internal/core"
 	"slacksim/internal/durable"
 	"slacksim/internal/engine"
+	"slacksim/internal/event"
 	"slacksim/internal/isa"
 	"slacksim/internal/service/server"
 	"slacksim/internal/spec"
@@ -205,44 +207,187 @@ func TestResumeRejectsMalformedCoreSnapshot(t *testing.T) {
 		{"missing L1D", func(w *coreWire) { w.L1D = nil }, "missing"},
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A server per case: the unedited run's result would otherwise
-			// be served from the cache to every later forgery of its spec.
-			hs := httptest.NewServer(server.New(server.Config{Workers: 1, QueueDepth: 4}).Handler())
-			defer hs.Close()
-			c := client.New(hs.URL)
-
-			forged := editCore0(t, blob, tc.mutate)
-			got, err := resume(t, forged)
-			switch {
-			case tc.want == "" && err != nil:
-				t.Fatalf("engine.Resume of the unedited payload: %v", err)
-			case tc.want == "" && !reflect.DeepEqual(canonicalResults(got), canonicalResults(want)):
-				t.Fatalf("unedited payload resumed to different results:\n got %+v\nwant %+v", got, want)
-			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-				t.Fatalf("engine.Resume: err = %v, want one mentioning %q", err, tc.want)
-			}
-
-			j, err := c.Resume(ctx, forged)
-			if err != nil {
-				t.Fatalf("POST /v1/resume: %v", err)
-			}
-			fin, err := c.Wait(ctx, j.ID, 2*time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.want == "" {
-				if fin.State != "done" {
-					t.Fatalf("POST /v1/resume of the unedited payload: %s (%s)", fin.State, fin.Error)
-				}
-				return
-			}
-			if fin.State != "failed" || !strings.Contains(fin.Error, tc.want) {
-				t.Fatalf("POST /v1/resume: job %s (%s), want failed mentioning %q", fin.State, fin.Error, tc.want)
-			}
+			checkForgedResume(t, editCore0(t, blob, tc.mutate), tc.want, &want)
 		})
+	}
+}
+
+// checkForgedResume resumes a forged payload through engine.Resume and
+// through POST /v1/resume. With want empty both must succeed, and
+// engine.Resume must reproduce wantRes when it is non-nil; otherwise both
+// must fail with an error mentioning want — never a panic, a hang, or a
+// run on corrupt state.
+func checkForgedResume(t *testing.T, forged []byte, want string, wantRes *slacksim.Results) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// A server per case: the unedited run's result would otherwise be
+	// served from the cache to every later forgery of its spec.
+	hs := httptest.NewServer(server.New(server.Config{Workers: 1, QueueDepth: 4}).Handler())
+	defer hs.Close()
+	c := client.New(hs.URL)
+
+	got, err := resume(t, forged)
+	switch {
+	case want == "" && err != nil:
+		t.Fatalf("engine.Resume of a valid payload: %v", err)
+	case want == "" && wantRes != nil && !reflect.DeepEqual(canonicalResults(got), canonicalResults(*wantRes)):
+		t.Fatalf("unedited payload resumed to different results:\n got %+v\nwant %+v", got, *wantRes)
+	case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+		t.Fatalf("engine.Resume: err = %v, want one mentioning %q", err, want)
+	}
+
+	j, err := c.Resume(ctx, forged)
+	if err != nil {
+		t.Fatalf("POST /v1/resume: %v", err)
+	}
+	fin, err := c.Wait(ctx, j.ID, 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == "" {
+		if fin.State != "done" {
+			t.Fatalf("POST /v1/resume of a valid payload: %s (%s)", fin.State, fin.Error)
+		}
+		return
+	}
+	if fin.State != "failed" || !strings.Contains(fin.Error, want) {
+		t.Fatalf("POST /v1/resume: job %s (%s), want failed mentioning %q", fin.State, fin.Error, want)
+	}
+}
+
+// editRun decodes a container, passes its run header and queues through
+// mutate, and encodes the container again.
+func editRun(t *testing.T, blob []byte, mutate func(h *engine.RunHeader, inQs [][]event.Msg, outQs [][]event.Request)) []byte {
+	t.Helper()
+	snap, err := durable.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := engine.RewriteRunState(snap.Engine, hostileSpec.Cores, mutate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := durable.EncodeSnapshot(snap.Spec, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRejectsHostileQueuesAndPacing forges SLKSNAP1 payloads from a
+// real one whose queues or pacing scalars break what Resume's restore and
+// the manager rely on: requests naming a core the machine lacks (which
+// used to panic the daemon with an index out of range), invalid bus or
+// message kinds and coherence states, timestamps outside [0, MaxCycles],
+// GQ arrival stamps that repeat or run past the arrival counter, and an
+// RNG draw count, cycle count or global time the header's own counters
+// cannot account for (RNGDraws = 1<<40 used to spin in the RNG
+// fast-forward, uninterruptibly). Both engine.Resume and POST /v1/resume
+// must fail naming the defect. A well-formed request added to an
+// out-queue or the GQ must still resume, so each rejection is the edit's
+// doing.
+func TestResumeRejectsHostileQueuesAndPacing(t *testing.T) {
+	blob, _ := exportAtFirstBoundary(t)
+	type (
+		hdr  = engine.RunHeader
+		inQ  = [][]event.Msg
+		outQ = [][]event.Request
+	)
+	req := func(h *hdr) event.Request {
+		return event.Request{ID: 1 << 20, Core: 1, Kind: coherence.BusRd, LineAddr: 0x4000, TS: h.Global - 1}
+	}
+	addGQ := func(edit func(h *hdr, p *engine.PendingWire)) func(*hdr, inQ, outQ) {
+		return func(h *hdr, _ inQ, _ outQ) {
+			h.Arrival++
+			p := engine.PendingWire{Req: req(h), Arr: h.Arrival}
+			edit(h, &p)
+			h.GQ = append(h.GQ, p)
+		}
+	}
+	addOut := func(edit func(h *hdr, r *event.Request)) func(*hdr, inQ, outQ) {
+		return func(h *hdr, _ inQ, outs outQ) {
+			r := req(h)
+			edit(h, &r)
+			outs[1] = append(outs[1], r)
+		}
+	}
+	addIn := func(edit func(m *event.Msg)) func(*hdr, inQ, outQ) {
+		return func(h *hdr, ins inQ, _ outQ) {
+			m := event.Msg{Kind: event.MsgInval, LineAddr: 0x4000, NewState: coherence.Invalid, TS: h.Global}
+			edit(&m)
+			ins[0] = append(ins[0], m)
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*hdr, inQ, outQ)
+		want   string
+	}{
+		{"valid GQ request", addGQ(func(*hdr, *engine.PendingWire) {}), ""},
+		{"valid out-queue request", addOut(func(*hdr, *event.Request) {}), ""},
+		{"valid in-queue message", addIn(func(*event.Msg) {}), ""},
+		{"out-queue request from core 99", addOut(func(_ *hdr, r *event.Request) { r.Core = 99 }), "request from core 99"},
+		{"out-queue request from another core", addOut(func(_ *hdr, r *event.Request) { r.Core = 0 }), "request from core 0"},
+		{"GQ request from a negative core", addGQ(func(_ *hdr, p *engine.PendingWire) { p.Req.Core = -1 }), "request from core -1"},
+		{"GQ request of bus kind none", addGQ(func(_ *hdr, p *engine.PendingWire) { p.Req.Kind = coherence.BusNone }), "invalid bus kind"},
+		{"out-queue request of bus kind 200", addOut(func(_ *hdr, r *event.Request) { r.Kind = 200 }), "invalid bus kind"},
+		{"GQ request timestamp negative", addGQ(func(_ *hdr, p *engine.PendingWire) { p.Req.TS = -5 }), "request timestamp -5"},
+		{"out-queue request past MaxCycles", addOut(func(_ *hdr, r *event.Request) { r.TS = 1 << 62 }), "request timestamp"},
+		{"message kind 7", addIn(func(m *event.Msg) { m.Kind = 7 }), "invalid message kind"},
+		{"message coherence state 9", addIn(func(m *event.Msg) { m.NewState = 9 }), "invalid coherence state"},
+		{"message timestamp past MaxCycles", addIn(func(m *event.Msg) { m.TS = 1 << 62 }), "message timestamp"},
+		{"message timestamp negative", addIn(func(m *event.Msg) { m.TS = -1 }), "message timestamp"},
+		{"GQ arrival past the counter", addGQ(func(h *hdr, p *engine.PendingWire) { p.Arr = h.Arrival + 1 }), "arrival stamp"},
+		{"GQ arrival zero", addGQ(func(_ *hdr, p *engine.PendingWire) { p.Arr = 0 }), "arrival stamp 0"},
+		{"GQ arrival repeated", func(h *hdr, _ inQ, _ outQ) {
+			h.Arrival++
+			p := engine.PendingWire{Req: req(h), Arr: h.Arrival}
+			h.GQ = append(h.GQ, p, p)
+		}, "not unique"},
+		{"RNG draws 1<<40", func(h *hdr, _ inQ, _ outQ) { h.RNGDraws = 1 << 40 }, "RNG draw count"},
+		{"core cycles past global time", func(h *hdr, _ inQ, _ outQ) { h.Meter.CoreCycles = 1 << 40 }, "core cycles"},
+		{"negative core cycles", func(h *hdr, _ inQ, _ outQ) { h.Meter.CoreCycles = -1 }, "core cycles"},
+		{"global time past MaxCycles", func(h *hdr, _ inQ, _ outQ) { h.Global = 1 << 62 }, "global time"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkForgedResume(t, editRun(t, blob, tc.mutate), tc.want, nil)
+		})
+	}
+}
+
+// TestResumeFastForwardIsInterruptible forges a payload whose pacing
+// counters are mutually consistent but large: 1<<33 RNG draws pass the
+// bound that 1<<31 core cycles by global time 1<<30 allow, and replaying
+// them takes minutes. Resume must still stop soon after Interrupt is set.
+func TestResumeFastForwardIsInterruptible(t *testing.T) {
+	blob, _ := exportAtFirstBoundary(t)
+	forged := editRun(t, blob, func(h *engine.RunHeader, _ [][]event.Msg, _ [][]event.Request) {
+		h.Global, h.Meter.CoreCycles, h.RNGDraws = 1<<30, 1<<31, 1<<33
+	})
+	snap, err := durable.DecodeSnapshot(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := snap.Spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	cfg.Interrupt = &stop
+	sim, err := slacksim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(20*time.Millisecond, func() { stop.Store(true) })
+	start := time.Now()
+	if _, err := sim.Resume(snap.Engine); !errors.Is(err, slacksim.ErrInterrupted) {
+		t.Fatalf("Resume: err = %v, want ErrInterrupted", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Resume took %v to honor the interrupt", d)
 	}
 }

@@ -190,8 +190,16 @@ type detRun struct {
 	p2pPartner []int
 	p2pBlocked []bool
 
-	// runnable is reused scratch for nextCore.
+	// runnable is nextCore's list of cores below runCap, in core order;
+	// runOK says it is current. It is kept across picks while the cap does
+	// not change (only the picked core's clock moves, and it leaves the
+	// list in place when it reaches the cap or halts) and rebuilt on a cap
+	// change, a rollback or a boundary, and on every Lax-P2P pick. pickAt
+	// is the picked core's position in it.
 	runnable []int
+	runCap   int64
+	runOK    bool
+	pickAt   int
 
 	// Interval-sampling cursor (nil unless cfg.Sampling is set).
 	samp *sampleState
@@ -274,13 +282,20 @@ func MustRun(m *Machine, cfg RunConfig) Results {
 	return res
 }
 
-// loop paces the run one pick at a time. It observes the clocks once per
-// pick, right after the picked core's chunk: the manager's step and the
-// next done check read that one observation, because servicing moves no
-// core clock. Only a rollback or a boundary, which can restore clocks,
-// takes a fresh one.
+// pickHook, when non-nil, is called at every pick with the observation the
+// driver carries and the pick's max local time, before the picked core
+// ticks. Tests use it to check the carried state against a rescan. Always
+// nil in production runs.
+var pickHook func(r *detRun, o observation, ml int64)
+
+// loop paces the run one pick at a time. It observes the clocks once,
+// then carries the observation forward: after a chunk only the picked
+// core's clock, commit count and retirement can have changed, so advance
+// folds in its deltas, and servicing moves no clock, so the manager's step
+// and the next done check read the carried value. Only a rollback or a
+// boundary, which can restore clocks, takes a fresh one.
 func (r *detRun) loop() error {
-	o := r.observe()
+	o := r.rescan()
 	for !r.done(o) {
 		if r.cfg.interrupted() {
 			return ErrInterrupted
@@ -294,13 +309,18 @@ func (r *detRun) loop() error {
 				if err := r.atBoundary(); err != nil {
 					return err
 				}
-				o = r.observe()
+				o = r.rescan()
 				continue
 			}
 			return fmt.Errorf("engine: no runnable core at global=%d maxLocal=%d", r.global, ml)
 		}
+		if pickHook != nil {
+			view := *r // handing the hook r itself would move every run's driver to the heap
+			pickHook(&view, o, ml)
+		}
 		c := r.m.cores[pick]
-		budget := ml - c.Now()
+		was, committed := c.Now(), c.Committed()
+		budget := ml - was
 		chunk := int64(1)
 		if r.cfg.MaxChunk > 1 {
 			chunk += r.rng.Int63n(r.cfg.MaxChunk)
@@ -318,26 +338,60 @@ func (r *detRun) loop() error {
 		if c.Halted() {
 			r.retired[pick] = true
 		}
+		if c.Now() >= r.runCap || c.Halted() {
+			// Drop the picked core in place, keeping core order.
+			for k := r.pickAt + 1; k < len(r.runnable); k++ {
+				r.runnable[k-1] = r.runnable[k]
+			}
+			r.runnable = r.runnable[:len(r.runnable)-1]
+		}
+		r.advance(&o, pick, was, committed)
 
-		o = r.observe()
 		r.step(o)
 		if r.samp != nil {
 			r.sampleStep(o.committed)
 		}
 		if r.pendingRollback {
 			r.doRollback()
-			o = r.observe()
+			o = r.rescan()
 			continue
 		}
 		if r.nextCkpt > 0 && r.global == r.nextCkpt && r.allAtBoundary() {
 			if err := r.atBoundary(); err != nil {
 				return err
 			}
-			o = r.observe()
+			o = r.rescan()
 		}
 	}
 	r.flush(o)
 	return nil
+}
+
+// rescan observes every clock afresh and drops the runnable list, for
+// the start of a run and after a rollback or a boundary.
+func (r *detRun) rescan() observation {
+	r.runOK = false
+	return r.observe()
+}
+
+// advance folds core i's chunk into o: its clock moved on from was, its
+// commit count from committed, and it may have retired. The minimum moves
+// only when the last core at it moves, which is the one case that
+// rescans the clocks.
+//
+//slacksim:hotpath
+func (r *detRun) advance(o *observation, i int, was int64, committed uint64) {
+	c := r.m.cores[i]
+	o.local += uint64(c.Now() - was)
+	o.committed += c.Committed() - committed
+	if r.retired[i] {
+		o.retired++
+	}
+	if was == o.min {
+		if o.atMin--; o.atMin == 0 {
+			*o = r.observe()
+		}
+	}
 }
 
 // nextCore picks a uniformly random core among those below both the
@@ -352,21 +406,25 @@ func (r *detRun) nextCore(ml int64) int {
 	}
 	// With a single core there is no partner to pick (Intn(0) would
 	// panic); the Lax-P2P gate degenerates to free-running, as on the
-	// parallel host.
+	// parallel host. The gate draws from the RNG as it is evaluated, so a
+	// Lax-P2P run evaluates it for every core at every pick.
 	lax := r.cfg.Scheme.Kind == LaxP2P && r.m.NumCores() > 1
-	runnable := r.runnable[:0]
-	for i, c := range r.m.cores {
-		if !r.retired[i] && c.Now() < cap && (!lax || r.p2pClear(i)) {
-			runnable = append(runnable, i)
+	if lax || !r.runOK || cap != r.runCap {
+		runnable := r.runnable[:0]
+		for i, c := range r.m.cores {
+			if !r.retired[i] && c.Now() < cap && (!lax || r.p2pClear(i)) {
+				runnable = append(runnable, i)
+			}
 		}
+		r.runnable, r.runCap, r.runOK = runnable, cap, true
 	}
-	r.runnable = runnable
-	if len(runnable) == 0 {
+	if len(r.runnable) == 0 {
 		// The slowest active core always sits below global+drift, so this
 		// only happens at a scheme wall (checkpoint boundary or a bug).
 		return -1
 	}
-	return runnable[r.rng.Intn(len(runnable))]
+	r.pickAt = r.rng.Intn(len(r.runnable))
+	return r.runnable[r.pickAt]
 }
 
 // p2pClear evaluates core i's Lax-P2P gate: away from a sync point it is

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"slacksim/internal/adaptive"
+	"slacksim/internal/coherence"
 	"slacksim/internal/core"
 	"slacksim/internal/event"
 	"slacksim/internal/mem"
@@ -257,6 +259,93 @@ func decodeRunState(state []byte, numCores int) (*runState, error) {
 	return s, nil
 }
 
+// checkQueues reports why the decoded GQ, in-queues or out-queues cannot
+// be restored, or nil. The manager indexes in-queues by a request's core
+// and feeds request timestamps to the bus's arithmetic, so every request
+// must name a core of the machine (its own, in an out-queue) and a bus
+// transaction a core can issue, and every message a kind the core
+// handles and a coherence state; every timestamp must lie in
+// [0, maxCycles]. GQ arrival stamps must be unique and at most the
+// header's Arrival counter, since arbitration order breaks ties on them.
+func (s *runState) checkQueues(maxCycles int64) error {
+	n := s.hdr.NumCores
+	checkReq := func(q event.Request, own int) error {
+		switch {
+		case q.Core < 0 || q.Core >= n || own >= 0 && q.Core != own:
+			return fmt.Errorf("request from core %d on a %d-core machine", q.Core, n)
+		case q.Kind == coherence.BusNone || q.Kind > coherence.BusIFetch:
+			return fmt.Errorf("request of invalid bus kind %d", q.Kind)
+		case q.TS < 0 || q.TS > maxCycles:
+			return fmt.Errorf("request timestamp %d outside [0, %d]", q.TS, maxCycles)
+		}
+		return nil
+	}
+	arrivals := make([]uint64, 0, len(s.hdr.GQ))
+	for k, p := range s.hdr.GQ {
+		if err := checkReq(p.Req, -1); err != nil {
+			return fmt.Errorf("GQ entry %d: %w", k, err)
+		}
+		if p.Arr == 0 || p.Arr > s.hdr.Arrival {
+			return fmt.Errorf("GQ entry %d: arrival stamp %d outside [1, %d]", k, p.Arr, s.hdr.Arrival)
+		}
+		arrivals = append(arrivals, p.Arr)
+	}
+	slices.Sort(arrivals)
+	for k := 1; k < len(arrivals); k++ {
+		if arrivals[k] == arrivals[k-1] {
+			return fmt.Errorf("GQ arrival stamp %d is not unique", arrivals[k])
+		}
+	}
+	for i := range s.outs {
+		for k, q := range s.outs[i] {
+			if err := checkReq(q, i); err != nil {
+				return fmt.Errorf("core %d out-queue entry %d: %w", i, k, err)
+			}
+		}
+	}
+	for i := range s.inQs {
+		for k, msg := range s.inQs[i] {
+			switch {
+			case msg.Kind != event.MsgReply && msg.Kind != event.MsgInval:
+				return fmt.Errorf("core %d in-queue entry %d: invalid message kind %d", i, k, msg.Kind)
+			case msg.NewState > coherence.Modified:
+				return fmt.Errorf("core %d in-queue entry %d: invalid coherence state %d", i, k, msg.NewState)
+			case msg.TS < 0 || msg.TS > maxCycles:
+				return fmt.Errorf("core %d in-queue entry %d: message timestamp %d outside [0, %d]", i, k, msg.TS, maxCycles)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPacing reports why the header's pacing scalars cannot belong to a
+// run of cfg, or nil. Resume fast-forwards the scheduler's RNG draw by
+// draw, so RNGDraws is bounded by what the header's own counters allow.
+// A boundary export sees every core clock at most Global, so the ticks
+// that survive are at most cores·Global; with rollback each checkpoint
+// interval is rolled back at most once and discards at most one interval
+// of ticks per core, at most cores·(Global + interval) more. Every pick
+// ticks at least one core cycle and draws once for its chunk, once for
+// the core and at most once per core for a Lax-P2P partner; the draw
+// bound carries a factor of two for Int63n's and Intn's rare rejected
+// draws.
+func (h *engineHeader) checkPacing(cfg RunConfig) error {
+	n := uint64(h.NumCores)
+	if h.Global < 0 || h.Global > cfg.MaxCycles {
+		return fmt.Errorf("global time %d outside [0, %d]", h.Global, cfg.MaxCycles)
+	}
+	maxTicks := 2 * n * uint64(h.Global+cfg.CheckpointInterval)
+	if h.Meter.CoreCycles < 0 || uint64(h.Meter.CoreCycles) > maxTicks {
+		return fmt.Errorf("meter counts %d core cycles, more than %d cores can tick by global time %d",
+			h.Meter.CoreCycles, n, h.Global)
+	}
+	if maxDraws := 2 * (2 + n) * uint64(h.Meter.CoreCycles); h.RNGDraws > maxDraws {
+		return fmt.Errorf("RNG draw count %d exceeds the %d that %d core cycles allow",
+			h.RNGDraws, maxDraws, h.Meter.CoreCycles)
+	}
+	return nil
+}
+
 // Resume continues a run exported by a snapshot request. The machine
 // must be freshly built from the same spec (same workload, cores, and
 // configuration) that produced the snapshot, and cfg must be the same
@@ -296,6 +385,12 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 			return Results{}, fmt.Errorf("engine: resume: %w", err)
 		}
 	}
+	if err := st.checkQueues(cfg.MaxCycles); err != nil {
+		return Results{}, fmt.Errorf("engine: resume: %w", err)
+	}
+	if err := hdr.checkPacing(cfg); err != nil {
+		return Results{}, fmt.Errorf("engine: resume: %w", err)
+	}
 	r.ctrl = st.ctrl
 
 	// Overwrite the fresh machine's components in place (the machine's
@@ -312,7 +407,12 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	m.sync.Restore(st.sync)
 	m.det.Restore(st.det)
 
+	// A payload within the bounds can still ask for billions of draws, so
+	// the fast-forward honors an interrupt like the run itself.
 	for i := uint64(0); i < hdr.RNGDraws; i++ {
+		if i%(1<<16) == 0 && cfg.interrupted() {
+			return Results{}, ErrInterrupted
+		}
 		r.rngSrc.Int63()
 	}
 	copy(r.retired, hdr.Retired)

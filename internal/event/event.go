@@ -7,8 +7,6 @@ package event
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"slacksim/internal/coherence"
 )
@@ -70,26 +68,19 @@ func (m Msg) String() string {
 	return fmt.Sprintf("msg{%s #%d line=%#x ->%s ts=%d}", k, m.ReqID, m.LineAddr, m.NewState, m.TS)
 }
 
-// Queue is a FIFO of manager-to-core messages or core-to-manager requests.
-// It is safe for one producer and one consumer running concurrently (the
-// parallel host) and trivially safe in the deterministic host.
+// Queue is a FIFO of manager-to-core messages or core-to-manager requests
+// with a single owner at any instant and no synchronization of its own.
+// On the deterministic host one goroutine does everything. On the
+// parallel host a core's queues are touched during a round only by the
+// worker that ticks the core (the push end of its out-queue, the pop end
+// of its in-queue) and between rounds only by the manager; the round
+// barrier's release and arrival order every hand-off (DESIGN.md §8).
 //
 // The queue keeps a head index into a reused backing array instead of
 // re-slicing on every Pop, so steady-state push/pop traffic allocates
 // nothing: when the queue empties, the whole backing array is reclaimed
 // for the next burst.
-//
-// A size counter maintained atomically inside the critical sections lets
-// Len and the is-it-empty checks in Pop/PopIf/Peek/DrainInto skip the
-// mutex entirely. Queues are empty most ticks, so the hot paths become a
-// single atomic load. A reader that races a concurrent Push may see the
-// queue as empty one tick early — indistinguishable from having run just
-// before the Push, which the slack protocols already tolerate; once a
-// Push completes (its mutex release, and on the parallel host the round
-// barrier that follows it), the counter is visible to every later reader.
 type Queue[T any] struct {
-	mu    sync.Mutex
-	size  atomic.Int64
 	items []T
 	head  int
 }
@@ -99,123 +90,57 @@ func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Push appends an item.
 func (q *Queue[T]) Push(v T) {
-	q.mu.Lock()
 	q.items = append(q.items, v)
-	q.size.Add(1)
-	q.mu.Unlock()
-}
-
-// popLocked removes the head item; the caller holds q.mu and has checked
-// the queue is non-empty.
-//
-//slacksim:hotpath
-func (q *Queue[T]) popLocked() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // release references for pointerful T
-	q.head++
-	q.size.Add(-1)
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v
 }
 
 // Pop removes and returns the head item; ok is false when empty.
 //
 //slacksim:hotpath
 func (q *Queue[T]) Pop() (v T, ok bool) {
-	if q.size.Load() == 0 {
-		return v, false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.head == len(q.items) {
 		return v, false
 	}
-	return q.popLocked(), true
-}
-
-// PopIf removes and returns the head item only when pred accepts it.
-//
-//slacksim:hotpath
-func (q *Queue[T]) PopIf(pred func(T) bool) (v T, ok bool) {
-	if q.size.Load() == 0 {
-		return v, false
+	v = q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // release references for pointerful T
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == len(q.items) || !pred(q.items[q.head]) {
-		return v, false
-	}
-	return q.popLocked(), true
+	return v, true
 }
 
 // Peek returns the head item without removing it.
 //
 //slacksim:hotpath
 func (q *Queue[T]) Peek() (v T, ok bool) {
-	if q.size.Load() == 0 {
-		return v, false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.head == len(q.items) {
 		return v, false
 	}
 	return q.items[q.head], true
 }
 
-// Len returns the number of queued items (a single atomic load).
+// Len returns the number of queued items.
 //
 //slacksim:hotpath
-func (q *Queue[T]) Len() int {
-	return int(q.size.Load())
-}
-
-// Drain removes and returns all items in order. The returned slice is
-// freshly owned by the caller; the queue keeps its backing array.
-func (q *Queue[T]) Drain() []T {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == len(q.items) {
-		return nil
-	}
-	out := append([]T(nil), q.items[q.head:]...)
-	clear(q.items)
-	q.items = q.items[:0]
-	q.head = 0
-	q.size.Store(0)
-	return out
-}
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // DrainInto removes all items in order, appending them to buf (which is
-// returned). A single lock acquisition replaces the per-item Pop loop on
-// the manager's hot path, and with a reused buf it allocates nothing.
+// returned). With a reused buf it allocates nothing.
 //
 //slacksim:hotpath
 func (q *Queue[T]) DrainInto(buf []T) []T {
-	if q.size.Load() == 0 {
-		return buf
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.head == len(q.items) {
 		return buf
 	}
 	buf = append(buf, q.items[q.head:]...)
-	clear(q.items)
-	q.items = q.items[:0]
-	q.head = 0
-	q.size.Store(0)
+	q.reset()
 	return buf
 }
 
 // Snapshot copies the queue contents.
 func (q *Queue[T]) Snapshot() []T {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return append([]T(nil), q.items[q.head:]...)
 }
 
@@ -225,8 +150,6 @@ func (q *Queue[T]) Snapshot() []T {
 //
 //slacksim:hotpath
 func (q *Queue[T]) SnapshotInto(buf []T) []T {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return append(buf[:0], q.items[q.head:]...)
 }
 
@@ -234,10 +157,16 @@ func (q *Queue[T]) SnapshotInto(buf []T) []T {
 //
 //slacksim:hotpath
 func (q *Queue[T]) Restore(items []T) {
-	q.mu.Lock()
-	clear(q.items)
+	q.reset()
 	q.items = append(q.items[:0], items...)
+}
+
+// reset empties the queue, clearing retained values so a pooled queue
+// pins nothing from its previous contents.
+//
+//slacksim:hotpath
+func (q *Queue[T]) reset() {
+	clear(q.items)
+	q.items = q.items[:0]
 	q.head = 0
-	q.size.Store(int64(len(items)))
-	q.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"sync"
 	"testing"
 
 	"slacksim/internal/coherence"
@@ -26,24 +25,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueuePopIf(t *testing.T) {
-	q := NewQueue[int]()
-	q.Push(10)
-	q.Push(3)
-	if _, ok := q.PopIf(func(v int) bool { return v < 5 }); ok {
-		t.Fatal("PopIf took head that fails predicate")
-	}
-	v, ok := q.PopIf(func(v int) bool { return v == 10 })
-	if !ok || v != 10 {
-		t.Fatalf("PopIf = (%d,%v)", v, ok)
-	}
-	// Head is now 3; the blocked 3 was never reordered past 10.
-	v, ok = q.Pop()
-	if !ok || v != 3 {
-		t.Fatalf("after PopIf, head = (%d,%v)", v, ok)
-	}
-}
-
 func TestQueuePeekAndDrain(t *testing.T) {
 	q := NewQueue[string]()
 	if _, ok := q.Peek(); ok {
@@ -57,12 +38,15 @@ func TestQueuePeekAndDrain(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatal("Peek consumed")
 	}
-	d := q.Drain()
-	if len(d) != 2 || d[0] != "a" || d[1] != "b" {
-		t.Fatalf("Drain = %v", d)
+	d := q.DrainInto([]string{"x"})
+	if len(d) != 3 || d[0] != "x" || d[1] != "a" || d[2] != "b" {
+		t.Fatalf("DrainInto = %v, want [x a b]", d)
 	}
 	if q.Len() != 0 {
-		t.Fatal("Drain left items")
+		t.Fatal("DrainInto left items")
+	}
+	if d := q.DrainInto(nil); d != nil {
+		t.Fatalf("DrainInto on empty = %v", d)
 	}
 }
 
@@ -87,28 +71,63 @@ func TestQueueSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestQueueConcurrent(t *testing.T) {
-	q := NewQueue[int]()
-	const n = 1000
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			q.Push(i)
-		}
-	}()
-	got := 0
-	for got < n {
-		if v, ok := q.Pop(); ok {
-			if v != got {
-				t.Errorf("out of order: %d, want %d", v, got)
-				break
-			}
-			got++
+// TestQueueInterleavedFIFOAndRestore pushes and pops in uneven bursts,
+// so the head index runs ahead, the backing array is reclaimed when the
+// queue empties and reused by the next burst, and checkpoints the queue
+// mid-stream. Every pop must return the next value in push order, a
+// restore must replay exactly the checkpointed tail, and popped slots
+// must be zeroed so a reused backing pins nothing.
+func TestQueueInterleavedFIFOAndRestore(t *testing.T) {
+	q := NewQueue[*int]()
+	next, want := 0, 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			v := next
+			q.Push(&v)
+			next++
 		}
 	}
-	wg.Wait()
+	pop := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			v, ok := q.Pop()
+			if !ok || *v != want {
+				t.Fatalf("Pop = (%v, %v), want %d", v, ok, want)
+			}
+			want++
+		}
+	}
+	var snap []*int
+	snapWant := 0
+	for round := 1; round <= 40; round++ {
+		push(round % 7)
+		pop(min(q.Len(), round%5))
+		if q.head > 0 && q.items[q.head-1] != nil {
+			t.Fatalf("round %d: popped slot still holds %d", round, *q.items[q.head-1])
+		}
+		if round == 17 {
+			snap, snapWant = q.SnapshotInto(snap), want
+		}
+		if q.Len() != next-want {
+			t.Fatalf("round %d: Len = %d, want %d", round, q.Len(), next-want)
+		}
+	}
+	pop(q.Len())
+	if q.head != 0 || len(q.items) != 0 {
+		t.Fatalf("empty queue kept head %d, %d items", q.head, len(q.items))
+	}
+
+	q.Push(new(int)) // stale content that Restore must discard
+	q.Restore(snap)
+	snap[0] = nil // Restore must have copied, not aliased
+	if q.Len() != len(snap) {
+		t.Fatalf("restored Len = %d, want %d", q.Len(), len(snap))
+	}
+	want = snapWant
+	pop(q.Len())
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop after the restored tail succeeded")
+	}
 }
 
 func TestRequestString(t *testing.T) {
