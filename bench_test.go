@@ -194,60 +194,3 @@ func BenchmarkAblationStudies(b *testing.B) {
 	printFirst(b, "Ablations", experiments.FormatAblations(rows))
 	b.ReportMetric(float64(len(rows)), "ablation-rows")
 }
-
-// BenchmarkSimulatorThroughput measures raw simulator speed: simulated
-// core-cycles per second under each scheme on the deterministic host.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		scheme Scheme
-	}{
-		{"CC", Schemes.CC()},
-		{"S16", Schemes.Bounded(16)},
-		{"SU", Schemes.Unbounded()},
-		{"P2P100", Schemes.LaxP2P(100, 50)},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				sim, err := New(Config{
-					Workload: "fft", Cores: 8, Scheme: tc.scheme, Seed: int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles * int64(len(res.PerCore))
-				sim.Release()
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "core-cycles/s")
-		})
-	}
-}
-
-// BenchmarkParallelHost measures the goroutine host on the same workload,
-// for comparison with the deterministic host.
-func BenchmarkParallelHost(b *testing.B) {
-	b.ReportAllocs()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		sim, err := New(Config{
-			Workload: "fft", Cores: 8, Scheme: Schemes.Bounded(16), Parallel: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles * int64(len(res.PerCore))
-		sim.Release()
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "core-cycles/s")
-}

@@ -242,8 +242,12 @@ func TestMetricsFetch(t *testing.T) {
 }
 
 // TestConcurrentPollersReuseConnections: three Wait pollers sharing one
-// client against one server keep three connections open between polls
-// instead of redialing. The server counts dials with ConnState.
+// client against one server keep their connections open between polls
+// instead of redialing. The server counts dials with ConnState. The
+// transport returns a connection to its idle pool only after it has seen
+// the response body's end, on its own goroutine, so a poller's next
+// request can occasionally beat that and dial once more; each poller is
+// allowed one such spare dial. Redialing per poll would take 75.
 func TestConcurrentPollersReuseConnections(t *testing.T) {
 	const pollers, polls = 3, 25
 	var dials atomic.Int32
@@ -285,7 +289,7 @@ func TestConcurrentPollersReuseConnections(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n := dials.Load(); n > pollers {
-		t.Fatalf("%d pollers dialed %d connections over %d polls each; want one connection per poller", pollers, n, polls)
+	if n := dials.Load(); n > 2*pollers {
+		t.Fatalf("%d pollers dialed %d connections over %d polls each; want at most two per poller", pollers, n, polls)
 	}
 }

@@ -163,14 +163,6 @@ func (b *Bus) Restore(snap *Bus) {
 	b.reqRes, b.respRes = reqRes, respRes
 }
 
-// SyncSnapshot brings snap up to date with the live bus, reusing snap's
-// backing arrays. The bus state is small and bounded (two reservation
-// windows plus scalars), so there is no per-field dirty tracking — the
-// whole state is the undo set.
-func (b *Bus) SyncSnapshot(snap *Bus) {
-	snap.Restore(b)
-}
-
 // Equal reports whether two buses hold identical reservations, monitor
 // state, and counters (used by checkpoint-equivalence tests).
 func (b *Bus) Equal(o *Bus) bool {

@@ -73,21 +73,6 @@ type Cache struct {
 
 	// Statistics.
 	Hits, Misses, Evictions, Writebacks uint64
-
-	// Incremental-checkpoint support: sets touched since the last sync.
-	// Granularity is a whole set (Assoc lines) — fine enough to skip the
-	// untouched bulk of the array, coarse enough that marking is one
-	// branch on the hit path.
-	track     bool
-	dirty     []bool
-	dirtyList []uint32
-}
-
-func (c *Cache) markSet(set uint64) {
-	if c.track && !c.dirty[set] {
-		c.dirty[set] = true
-		c.dirtyList = append(c.dirtyList, uint32(set))
-	}
 }
 
 // New builds a cache from cfg, panicking on invalid configuration (caches
@@ -152,7 +137,6 @@ func (c *Cache) Probe(lineAddr uint64, write bool) bool {
 		c.lruClk++
 		l.lru = c.lruClk
 		c.Hits++
-		c.markSet(lineAddr & c.setMask)
 	} else {
 		c.Misses++
 	}
@@ -168,7 +152,6 @@ func (c *Cache) SetState(lineAddr uint64, s coherence.State) {
 		if s == coherence.Invalid {
 			l.tag = 0
 		}
-		c.markSet(lineAddr & c.setMask)
 	} else if s != coherence.Invalid {
 		panic(fmt.Sprintf("cache %s: SetState(%#x,%v) on absent line", c.cfg.Name, lineAddr, s))
 	}
@@ -189,11 +172,9 @@ func (c *Cache) Insert(lineAddr uint64, s coherence.State) Victim {
 		l.state = s
 		c.lruClk++
 		l.lru = c.lruClk
-		c.markSet(lineAddr & c.setMask)
 		return Victim{}
 	}
 	set, tag := c.index(lineAddr)
-	c.markSet(set)
 	ways := c.sets[set]
 	vi := 0
 	for i := range ways {
@@ -260,14 +241,12 @@ func (c *Cache) SnapshotInto(dst *Cache) {
 }
 
 // Reset returns the cache to its freshly-constructed state: all lines
-// invalid, statistics zeroed, dirty tracking off. Used when a pooled
+// invalid, statistics zeroed. Used when a pooled
 // machine is recycled for a new run.
 func (c *Cache) Reset() {
 	clear(c.flat)
 	c.lruClk = 0
 	c.Hits, c.Misses, c.Evictions, c.Writebacks = 0, 0, 0, 0
-	c.track = false
-	c.clearDirty()
 }
 
 // Restore overwrites the cache with the snapshot's contents. The snapshot
@@ -282,56 +261,6 @@ func (c *Cache) Restore(snap *Cache) {
 	c.Hits, c.Misses, c.Evictions, c.Writebacks =
 		snap.Hits, snap.Misses, snap.Evictions, snap.Writebacks
 	copy(c.flat, snap.flat)
-	c.clearDirty()
-}
-
-// StartTracking begins dirty-set tracking for incremental checkpoints; the
-// caller takes a full Snapshot at the same instant.
-func (c *Cache) StartTracking() {
-	c.track = true
-	if c.dirty == nil {
-		c.dirty = make([]bool, len(c.sets)) //lint:allow hotpathalloc -- one-time tracking warm-up; cleared and reused thereafter
-	}
-	c.clearDirty()
-}
-
-//slacksim:hotpath
-func (c *Cache) clearDirty() {
-	for _, s := range c.dirtyList {
-		c.dirty[s] = false
-	}
-	c.dirtyList = c.dirtyList[:0]
-}
-
-// SyncSnapshot brings snap (a full Snapshot kept current since tracking
-// started) up to date by copying only the sets touched since the last
-// sync or restore, plus the scalar stats.
-//
-//slacksim:hotpath
-func (c *Cache) SyncSnapshot(snap *Cache) {
-	snap.lruClk = c.lruClk
-	snap.Hits, snap.Misses, snap.Evictions, snap.Writebacks =
-		c.Hits, c.Misses, c.Evictions, c.Writebacks
-	for _, s := range c.dirtyList {
-		c.dirty[s] = false
-		copy(snap.sets[s], c.sets[s])
-	}
-	c.dirtyList = c.dirtyList[:0]
-}
-
-// RestoreDirty rolls the cache back to snap by copying back only the sets
-// touched since the last sync.
-//
-//slacksim:hotpath
-func (c *Cache) RestoreDirty(snap *Cache) {
-	c.lruClk = snap.lruClk
-	c.Hits, c.Misses, c.Evictions, c.Writebacks =
-		snap.Hits, snap.Misses, snap.Evictions, snap.Writebacks
-	for _, s := range c.dirtyList {
-		c.dirty[s] = false
-		copy(c.sets[s], snap.sets[s])
-	}
-	c.dirtyList = c.dirtyList[:0]
 }
 
 // Equal reports whether two caches hold identical tag/state/LRU contents

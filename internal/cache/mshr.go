@@ -28,12 +28,6 @@ type MSHRFile struct {
 	// Full counts allocation attempts rejected because the file was full.
 	Full uint64
 
-	// version counts mutations. All state changes funnel through
-	// Allocate/Release (entries are never mutated through Lookup/ForEach
-	// pointers), so an incremental checkpoint can skip the whole file when
-	// the version matches the snapshot's.
-	version uint64
-
 	// scratch carries Release's returned waiter list so the entry's own
 	// backing array stays parked in the file for reuse; see Release.
 	scratch []int
@@ -68,7 +62,6 @@ func (f *MSHRFile) Lookup(lineAddr uint64) *MSHR {
 // whether this is a new (primary) miss; (nil,false) means the file is full
 // and the requester must retry later.
 func (f *MSHRFile) Allocate(lineAddr uint64, write bool, tag int, issueTS int64) (entry *MSHR, primary bool) {
-	f.version++
 	if e := f.Lookup(lineAddr); e != nil {
 		e.Write = e.Write || write
 		if tag >= 0 {
@@ -107,7 +100,6 @@ func (f *MSHRFile) Allocate(lineAddr uint64, write bool, tag int, issueTS int64)
 func (f *MSHRFile) Release(lineAddr uint64) []int {
 	for i := range f.entries {
 		if f.entries[i].LineAddr == lineAddr {
-			f.version++
 			f.scratch = append(f.scratch[:0], f.entries[i].Waiters...)
 			w := f.entries[i].Waiters[:0]
 			n := len(f.entries)
@@ -176,7 +168,6 @@ func (f *MSHRFile) Restore(snap *MSHRFile) {
 		*e = *se
 		e.Waiters = w
 	}
-	f.version = snap.version
 }
 
 // Reset returns the file to its freshly-constructed state, parking every
@@ -188,30 +179,6 @@ func (f *MSHRFile) Reset() {
 	}
 	f.entries = f.entries[:0]
 	f.Merges, f.Full = 0, 0
-	f.version = 0
-}
-
-// SyncSnapshot brings snap up to date with the live file. When no
-// mutation has happened since the last sync (the common case between
-// dense checkpoints) it is a single integer compare.
-//
-//slacksim:hotpath
-func (f *MSHRFile) SyncSnapshot(snap *MSHRFile) {
-	if snap.version == f.version && snap.cap == f.cap {
-		return
-	}
-	snap.Restore(f)
-}
-
-// RestoreDirty rolls the live file back to snap, skipping the copy when
-// nothing changed since the sync.
-//
-//slacksim:hotpath
-func (f *MSHRFile) RestoreDirty(snap *MSHRFile) {
-	if f.version == snap.version && f.cap == snap.cap {
-		return
-	}
-	f.Restore(snap)
 }
 
 // Equal reports whether two files hold identical entries and stats.

@@ -3,7 +3,6 @@ package cache
 import (
 	"slices"
 
-	"slacksim/internal/arena"
 	"slacksim/internal/coherence"
 )
 
@@ -17,92 +16,69 @@ import (
 // operation's timestamp against it and reports a violation when the
 // operation arrives out of simulated-time order, exactly the detection
 // mechanism of the paper's Section 3.
+//
+// Entries are stored flat. index maps a line address to a slot, and three
+// append-only slices hold the slots: keys (the slot's line address),
+// states (numCores per slot) and monitorTS. A line keeps its slot until a
+// Restore or Reset drops it, so a checkpoint copy is three slice copies
+// plus index updates past the longest prefix of keys the two maps share.
 type StatusMap struct {
-	numCores int
-	lines    map[uint64]*mapEntry
-
-	// Entries and their per-core state vectors come out of slab arenas:
-	// runtime entry creation is pointer-bump cheap, deleted entries are
-	// recycled through the slab free lists, and a pooled machine's Reset
-	// reclaims everything wholesale without freeing the blocks.
-	entries *arena.Slab[mapEntry]
-	states  *arena.Slices[coherence.State]
-
-	// Incremental-checkpoint support: when tracking is on, every line
-	// touched by Apply since the last SyncSnapshot/RestoreDirty is flagged
-	// dirty and listed once in dirtyList, so a checkpoint copies only the
-	// touched entries and a rollback restores only the diverged ones.
-	track     bool
-	dirtyList []uint64
-}
-
-type mapEntry struct {
+	numCores  int
+	index     map[uint64]int32
+	keys      []uint64
 	states    []coherence.State
-	monitorTS int64
-	dirty     bool
+	monitorTS []int64
 }
 
 // NewStatusMap returns an empty map for a machine with numCores L1s.
 func NewStatusMap(numCores int) *StatusMap {
-	return &StatusMap{
-		numCores: numCores,
-		lines:    make(map[uint64]*mapEntry),
-		entries:  arena.NewSlab[mapEntry](256),
-		states:   arena.NewSlices[coherence.State](numCores, 256),
-	}
-}
-
-// newEntry carves a fresh entry (with its state vector) from the arenas.
-//
-//slacksim:hotpath
-//slacksim:pooled
-func (m *StatusMap) newEntry() *mapEntry {
-	e := m.entries.Get()
-	e.states = m.states.Get()
-	return e
-}
-
-// freeEntry recycles a deleted entry and its state vector.
-//
-//slacksim:hotpath
-func (m *StatusMap) freeEntry(e *mapEntry) {
-	m.states.Put(e.states)
-	m.entries.Put(e)
+	return &StatusMap{numCores: numCores, index: make(map[uint64]int32)}
 }
 
 // NumCores returns the number of tracked caches.
 func (m *StatusMap) NumCores() int { return m.numCores }
 
-// entry returns the (pool-owned) map entry for lineAddr, carving a new
-// one on first touch.
+// row returns slot i's per-core state vector.
+func (m *StatusMap) row(i int32) []coherence.State {
+	lo := int(i) * m.numCores
+	return m.states[lo : lo+m.numCores]
+}
+
+// lookup returns lineAddr's state vector, or nil for an untouched line.
+func (m *StatusMap) lookup(lineAddr uint64) []coherence.State {
+	if i, ok := m.index[lineAddr]; ok {
+		return m.row(i)
+	}
+	return nil
+}
+
+// slot returns lineAddr's slot, appending a fresh one (every core
+// Invalid, monitor untouched) on first touch.
 //
 //slacksim:hotpath
-//slacksim:pooled
-func (m *StatusMap) entry(lineAddr uint64) *mapEntry {
-	e := m.lines[lineAddr]
-	if e == nil {
-		e = m.newEntry()
-		e.monitorTS = -1
-		m.lines[lineAddr] = e
+func (m *StatusMap) slot(lineAddr uint64) int32 {
+	if i, ok := m.index[lineAddr]; ok {
+		return i
 	}
-	return e
+	i := int32(len(m.keys))
+	m.index[lineAddr] = i
+	m.keys = append(m.keys, lineAddr)                                   //lint:allow hotpathalloc -- slot arrays grow only past the map's high-water line count, then reuse their backing
+	m.states = append(m.states, make([]coherence.State, m.numCores)...) //lint:allow hotpathalloc -- see above; append of make(...)... extends in place without a temporary
+	m.monitorTS = append(m.monitorTS, -1)                               //lint:allow hotpathalloc -- see above
+	return i
 }
 
 // State returns core's recorded state for lineAddr.
 func (m *StatusMap) State(lineAddr uint64, core int) coherence.State {
-	if e := m.lines[lineAddr]; e != nil {
-		return e.states[core]
+	if row := m.lookup(lineAddr); row != nil {
+		return row[core]
 	}
 	return coherence.Invalid
 }
 
 // SharersOtherThan reports whether any cache except core holds the line.
 func (m *StatusMap) SharersOtherThan(lineAddr uint64, core int) bool {
-	e := m.lines[lineAddr]
-	if e == nil {
-		return false
-	}
-	for i, s := range e.states {
+	for i, s := range m.lookup(lineAddr) {
 		if i != core && s.Valid() {
 			return true
 		}
@@ -113,11 +89,7 @@ func (m *StatusMap) SharersOtherThan(lineAddr uint64, core int) bool {
 // OwnerOtherThan returns the core holding the line in M or E (the cache
 // that must supply or flush data), or -1.
 func (m *StatusMap) OwnerOtherThan(lineAddr uint64, core int) int {
-	e := m.lines[lineAddr]
-	if e == nil {
-		return -1
-	}
-	for i, s := range e.states {
+	for i, s := range m.lookup(lineAddr) {
 		if i != core && s.CanWrite() {
 			return i
 		}
@@ -137,11 +109,7 @@ func (m *StatusMap) Holders(lineAddr uint64, except int) []int {
 //
 //slacksim:hotpath
 func (m *StatusMap) HoldersInto(buf []int, lineAddr uint64, except int) []int {
-	e := m.lines[lineAddr]
-	if e == nil {
-		return buf
-	}
-	for i, s := range e.states {
+	for i, s := range m.lookup(lineAddr) {
 		if i != except && s.Valid() {
 			buf = append(buf, i)
 		}
@@ -164,25 +132,21 @@ func (m *StatusMap) HoldersInto(buf []int, lineAddr uint64, except int) []int {
 //
 //slacksim:hotpath
 func (m *StatusMap) Apply(lineAddr uint64, core int, s coherence.State, ts int64) (violation bool) {
-	e := m.entry(lineAddr)
-	if m.track && !e.dirty {
-		e.dirty = true
-		m.dirtyList = append(m.dirtyList, lineAddr) //lint:allow hotpathalloc -- dirty-list growth is bounded by tracked lines and reused via clearDirty
-	}
-	old := e.states[core]
-	if ts < e.monitorTS {
-		violation = old == coherence.Modified || s == coherence.Modified
+	i := m.slot(lineAddr)
+	st := &m.states[int(i)*m.numCores+core]
+	if ts < m.monitorTS[i] {
+		violation = *st == coherence.Modified || s == coherence.Modified
 	} else {
-		e.monitorTS = ts
+		m.monitorTS[i] = ts
 	}
-	e.states[core] = s
+	*st = s
 	return violation
 }
 
 // MonitorTS returns the entry's monitoring timestamp (-1 when untouched).
 func (m *StatusMap) MonitorTS(lineAddr uint64) int64 {
-	if e := m.lines[lineAddr]; e != nil {
-		return e.monitorTS
+	if i, ok := m.index[lineAddr]; ok {
+		return m.monitorTS[i]
 	}
 	return -1
 }
@@ -194,12 +158,13 @@ func (m *StatusMap) MonitorTS(lineAddr uint64) int64 {
 // paper studies — so production runs do not call this on the hot path.
 func (m *StatusMap) CheckLegal() []uint64 {
 	var bad []uint64
-	for la, e := range m.lines {
+	for i, la := range m.keys {
+		row := m.row(int32(i))
 		ok := true
 	outer:
-		for i := 0; i < len(e.states); i++ {
-			for j := i + 1; j < len(e.states); j++ {
-				if !coherence.LegalPair(e.states[i], e.states[j]) {
+		for a := range row {
+			for b := a + 1; b < len(row); b++ {
+				if !coherence.LegalPair(row[a], row[b]) {
 					ok = false
 					break outer
 				}
@@ -214,7 +179,7 @@ func (m *StatusMap) CheckLegal() []uint64 {
 }
 
 // Lines returns the number of tracked lines.
-func (m *StatusMap) Lines() int { return len(m.lines) }
+func (m *StatusMap) Lines() int { return len(m.keys) }
 
 // Snapshot deep-copies the map.
 func (m *StatusMap) Snapshot() *StatusMap {
@@ -223,129 +188,58 @@ func (m *StatusMap) Snapshot() *StatusMap {
 	return n
 }
 
-// SnapshotInto deep-copies the map's contents into dst, reusing dst's
-// map buckets and recycling its entries through dst's arenas — the
-// pooled-snapshot-graph variant of Snapshot. dst must have been built
-// for the same core count.
+// SnapshotInto deep-copies the map into dst, reusing dst's index and slot
+// arrays. Only the index entries past the longest prefix of keys the two
+// maps share change. Between consecutive checkpoints the snapshot's keys
+// are a prefix of the live map's (slots are append-only), so a capture
+// indexes just the lines first touched since the last one, and a restore
+// un-indexes them; maps with no common history, as when a Resume lands
+// on a pooled machine, are handled the same way.
+//
+//slacksim:hotpath
 func (m *StatusMap) SnapshotInto(dst *StatusMap) {
+	p, n := 0, min(len(m.keys), len(dst.keys))
+	for p < n && m.keys[p] == dst.keys[p] {
+		p++
+	}
+	for _, la := range dst.keys[p:] {
+		delete(dst.index, la)
+	}
+	for i, la := range m.keys[p:] {
+		dst.index[la] = int32(p + i)
+	}
 	dst.numCores = m.numCores
-	for la, e := range dst.lines {
-		if m.lines[la] == nil {
-			delete(dst.lines, la)
-			dst.freeEntry(e)
-		}
-	}
-	for la, e := range m.lines {
-		de := dst.lines[la]
-		if de == nil {
-			de = dst.newEntry()
-			dst.lines[la] = de
-		}
-		copy(de.states, e.states)
-		de.monitorTS = e.monitorTS
-		de.dirty = false
-	}
-	dst.dirtyList = dst.dirtyList[:0]
+	dst.keys = append(dst.keys[:0], m.keys...)
+	dst.states = append(dst.states[:0], m.states...)
+	dst.monitorTS = append(dst.monitorTS[:0], m.monitorTS...)
 }
 
-// Restore overwrites the map from a snapshot, reusing the existing map
-// and recycled entries instead of rebuilding them.
+// Restore overwrites the map from a snapshot; see SnapshotInto.
+//
+//slacksim:hotpath
 func (m *StatusMap) Restore(snap *StatusMap) {
 	snap.SnapshotInto(m)
 }
 
-// Reset returns the map to its freshly-constructed state, reclaiming
-// every entry wholesale through the arenas (the blocks are kept for the
-// next run). Used when a pooled machine is recycled.
+// Reset returns the map to its freshly-constructed state, keeping the
+// index buckets and slot arrays for the next run. Used when a pooled
+// machine is recycled.
 func (m *StatusMap) Reset() {
-	clear(m.lines)
-	m.entries.Reset()
-	m.states.Reset()
-	m.track = false
-	m.dirtyList = m.dirtyList[:0]
+	clear(m.index)
+	m.keys = m.keys[:0]
+	m.states = m.states[:0]
+	m.monitorTS = m.monitorTS[:0]
 }
 
-// StartTracking begins dirty-line tracking for incremental checkpoints.
-// The caller takes a full Snapshot at the same instant; from then on
-// SyncSnapshot keeps that snapshot current by copying only dirty entries.
-func (m *StatusMap) StartTracking() {
-	m.track = true
-	m.clearDirty()
-}
-
-//slacksim:hotpath
-func (m *StatusMap) clearDirty() {
-	for _, la := range m.dirtyList {
-		if e := m.lines[la]; e != nil {
-			e.dirty = false
-		}
-	}
-	m.dirtyList = m.dirtyList[:0]
-}
-
-// SyncSnapshot brings snap (a full Snapshot taken when tracking started,
-// kept in sync at every checkpoint since) up to date by copying only the
-// entries dirtied since the previous sync or restore.
-//
-//slacksim:hotpath
-func (m *StatusMap) SyncSnapshot(snap *StatusMap) {
-	snap.numCores = m.numCores
-	for _, la := range m.dirtyList {
-		e := m.lines[la]
-		if e == nil {
-			continue
-		}
-		e.dirty = false
-		se := snap.lines[la]
-		if se == nil {
-			// First sync of a line only; subsequent boundaries reuse the
-			// entry, and the arena makes even the first sync pointer-bump
-			// cheap after warm-up.
-			se = snap.newEntry()
-			snap.lines[la] = se
-		}
-		copy(se.states, e.states)
-		se.monitorTS = e.monitorTS
-	}
-	m.dirtyList = m.dirtyList[:0]
-}
-
-// RestoreDirty rolls the map back to snap by undoing only the entries
-// dirtied since the last sync: diverged entries are copied back, entries
-// created after the checkpoint are deleted.
-//
-//slacksim:hotpath
-func (m *StatusMap) RestoreDirty(snap *StatusMap) {
-	m.numCores = snap.numCores
-	for _, la := range m.dirtyList {
-		e := m.lines[la]
-		if e == nil {
-			continue
-		}
-		e.dirty = false
-		se := snap.lines[la]
-		if se == nil {
-			delete(m.lines, la)
-			m.freeEntry(e)
-			continue
-		}
-		copy(e.states, se.states)
-		e.monitorTS = se.monitorTS
-	}
-	m.dirtyList = m.dirtyList[:0]
-}
-
-// Equal reports whether two maps record identical state (entries whose
-// states are all Invalid with an untouched monitor compare equal to
-// absent entries only when both sides agree; equality here is exact
-// entry-for-entry, the property the incremental-checkpoint tests assert).
+// Equal reports whether two maps record identical state: the same lines,
+// each with the same states and monitor. Slot order is not compared.
 func (m *StatusMap) Equal(o *StatusMap) bool {
-	if m.numCores != o.numCores || len(m.lines) != len(o.lines) {
+	if m.numCores != o.numCores || len(m.keys) != len(o.keys) {
 		return false
 	}
-	for la, e := range m.lines {
-		oe := o.lines[la]
-		if oe == nil || e.monitorTS != oe.monitorTS || !slices.Equal(e.states, oe.states) {
+	for i, la := range m.keys {
+		j, ok := o.index[la]
+		if !ok || m.monitorTS[i] != o.monitorTS[j] || !slices.Equal(m.row(int32(i)), o.row(j)) {
 			return false
 		}
 	}
@@ -355,5 +249,5 @@ func (m *StatusMap) Equal(o *StatusMap) bool {
 // StateWords estimates live state size in 64-bit words for the checkpoint
 // cost model.
 func (m *StatusMap) StateWords() int {
-	return len(m.lines) * (m.numCores/4 + 2)
+	return len(m.keys) * (m.numCores/4 + 2)
 }

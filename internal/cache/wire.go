@@ -12,8 +12,7 @@ import (
 // Wire serialization for run snapshots (durable checkpoint export /
 // live migration). Each type mirrors its unexported state into an
 // exported struct for encoding/gob; maps are flattened into slices
-// sorted by key so the encoding is deterministic. Decoded structures
-// are cold (no dirty tracking active) — the restorer re-arms tracking.
+// sorted by key so the encoding is deterministic.
 
 type cacheWire struct {
 	Cfg    Config
@@ -80,7 +79,6 @@ type mshrWire struct {
 	Entries []MSHR
 	Merges  uint64
 	Full    uint64
-	Version uint64
 }
 
 // GobEncode implements gob.GobEncoder.
@@ -88,7 +86,7 @@ func (f *MSHRFile) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(mshrWire{
 		Cap: f.cap, Entries: f.entries,
-		Merges: f.Merges, Full: f.Full, Version: f.version,
+		Merges: f.Merges, Full: f.Full,
 	})
 	return buf.Bytes(), err
 }
@@ -104,7 +102,7 @@ func (f *MSHRFile) GobDecode(data []byte) error {
 	}
 	f.cap = w.Cap
 	f.entries = w.Entries
-	f.Merges, f.Full, f.version = w.Merges, w.Full, w.Version
+	f.Merges, f.Full = w.Merges, w.Full
 	return nil
 }
 
@@ -119,11 +117,12 @@ type statusMapWire struct {
 	Lines    []mapEntryWire
 }
 
-// GobEncode implements gob.GobEncoder.
+// GobEncode implements gob.GobEncoder. Lines go out sorted by address,
+// whatever their slot order.
 func (m *StatusMap) GobEncode() ([]byte, error) {
-	w := statusMapWire{NumCores: m.numCores, Lines: make([]mapEntryWire, 0, len(m.lines))}
-	for la, e := range m.lines {
-		w.Lines = append(w.Lines, mapEntryWire{Addr: la, States: e.states, MonitorTS: e.monitorTS})
+	w := statusMapWire{NumCores: m.numCores, Lines: make([]mapEntryWire, len(m.keys))}
+	for i, la := range m.keys {
+		w.Lines[i] = mapEntryWire{Addr: la, States: m.row(int32(i)), MonitorTS: m.monitorTS[i]}
 	}
 	sort.Slice(w.Lines, func(i, j int) bool { return w.Lines[i].Addr < w.Lines[j].Addr })
 	var buf bytes.Buffer
@@ -131,7 +130,8 @@ func (m *StatusMap) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. A payload naming a line twice, or
+// a state outside MESI, is rejected.
 func (m *StatusMap) GobDecode(data []byte) error {
 	var w statusMapWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -146,7 +146,18 @@ func (m *StatusMap) GobDecode(data []byte) error {
 			return fmt.Errorf("cache: wire status map line %#x has %d states for %d cores",
 				e.Addr, len(e.States), w.NumCores)
 		}
-		fresh.lines[e.Addr] = &mapEntry{states: e.States, monitorTS: e.MonitorTS}
+		if _, dup := fresh.index[e.Addr]; dup {
+			return fmt.Errorf("cache: wire status map names line %#x twice", e.Addr)
+		}
+		for c, s := range e.States {
+			if s > coherence.Modified {
+				return fmt.Errorf("cache: wire status map line %#x core %d has state %d, not MESI", e.Addr, c, s)
+			}
+		}
+		fresh.index[e.Addr] = int32(len(fresh.keys))
+		fresh.keys = append(fresh.keys, e.Addr)
+		fresh.states = append(fresh.states, e.States...)
+		fresh.monitorTS = append(fresh.monitorTS, e.MonitorTS)
 	}
 	*m = *fresh
 	return nil

@@ -140,7 +140,7 @@ func MustNew(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controlle
 
 // Reset returns the core to its freshly-constructed state running prog,
 // keeping the configuration, shared-structure wiring, and every pooled
-// backing (ROB ring, cache arrays, MSHR waiter arenas, predictor
+// backing (ROB ring, cache arrays, MSHR waiter backings, predictor
 // table). Used when a pooled machine is recycled for a new run.
 func (c *Core) Reset(prog *isa.Program) error {
 	if err := prog.Validate(); err != nil {

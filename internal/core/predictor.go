@@ -69,13 +69,6 @@ func (p *Predictor) Restore(snap *Predictor) {
 	p.Lookups, p.Mispredicts = snap.Lookups, snap.Mispredicts
 }
 
-// SyncSnapshot brings snap up to date with the live predictor. The
-// counter table is small and mutated on nearly every fetch, so there is
-// no per-entry dirty tracking — the whole table is copied in place.
-func (p *Predictor) SyncSnapshot(snap *Predictor) {
-	snap.Restore(p)
-}
-
 // Equal reports whether two predictors hold identical counters and stats.
 func (p *Predictor) Equal(o *Predictor) bool {
 	if p.mask != o.mask || p.Lookups != o.Lookups || p.Mispredicts != o.Mispredicts {

@@ -100,13 +100,13 @@ func (c *Core) appendWindow(dst []robEntry) []robEntry {
 	return dst
 }
 
-// restoreScalars copies everything except the cache/MSHR/predictor
-// structures into the live core, placing the ROB window in the ring (which
-// a restore grows only past the ring's high-water size) and rebuilding the
-// wakeup state, which a snapshot's wire form does not carry.
+// Restore overwrites the core's state from a snapshot taken on the same
+// core. It places the ROB window in the ring (which a restore grows only
+// past the ring's high-water size) and rebuilds the wakeup state, which a
+// snapshot's wire form does not carry.
 //
 //slacksim:hotpath
-func (c *Core) restoreScalars(s *Snapshot) {
+func (c *Core) Restore(s *Snapshot) {
 	for len(c.rob) < len(s.rob) {
 		c.growROB()
 	}
@@ -127,14 +127,6 @@ func (c *Core) restoreScalars(s *Snapshot) {
 	}
 	c.rebuildWakeups()
 	c.fetchBuf = append(c.fetchBuf[:0], s.fetchBuf...)
-}
-
-// Restore overwrites the core's state from a snapshot taken on the same
-// core.
-//
-//slacksim:hotpath
-func (c *Core) Restore(s *Snapshot) {
-	c.restoreScalars(s)
 	c.l1i.Restore(s.l1i)
 	c.l1d.Restore(s.l1d)
 	c.imshr.Restore(s.imshr)
@@ -211,56 +203,6 @@ func (c *Core) CheckSnapshot(s *Snapshot) error {
 
 func regsInRange(in isa.Inst) bool {
 	return in.Dst < isa.NumRegs && in.Src1 < isa.NumRegs && in.Src2 < isa.NumRegs
-}
-
-// StartTracking begins dirty tracking in the core's caches for
-// incremental checkpoints; the caller takes a full Snapshot at the same
-// instant.
-func (c *Core) StartTracking() {
-	c.l1i.StartTracking()
-	c.l1d.StartTracking()
-}
-
-// SyncSnapshot brings s (a full Snapshot kept current since tracking
-// started) up to date with the live core, copying only cache sets and
-// MSHR files touched since the last sync or restore. The ROB and fetch
-// buffer churn every cycle, so they are always copied — into s's reused
-// backing arrays.
-//
-//slacksim:hotpath
-func (c *Core) SyncSnapshot(s *Snapshot) {
-	s.now = c.now
-	s.regs = c.regs
-	s.mapTable = c.mapTable
-	s.fetchPC = c.fetchPC
-	s.fetchStallUntil = c.fetchStallUntil
-	s.serializeSeq = c.serializeSeq
-	s.nextSeq = c.nextSeq
-	s.halted = c.halted
-	s.reqID = c.reqID
-	s.stats = c.stats
-
-	s.rob = c.appendWindow(s.rob[:0])
-	s.fetchBuf = append(s.fetchBuf[:0], c.fetchBuf...)
-
-	c.l1i.SyncSnapshot(s.l1i)
-	c.l1d.SyncSnapshot(s.l1d)
-	c.imshr.SyncSnapshot(s.imshr)
-	c.dmshr.SyncSnapshot(s.dmshr)
-	c.pred.SyncSnapshot(s.pred)
-}
-
-// RestoreIncremental rolls the core back to s, undoing only cache sets
-// and MSHR state touched since the last sync.
-//
-//slacksim:hotpath
-func (c *Core) RestoreIncremental(s *Snapshot) {
-	c.restoreScalars(s)
-	c.l1i.RestoreDirty(s.l1i)
-	c.l1d.RestoreDirty(s.l1d)
-	c.imshr.RestoreDirty(s.imshr)
-	c.dmshr.RestoreDirty(s.dmshr)
-	c.pred.Restore(s.pred)
 }
 
 // StateEqual reports whether two cores (same configuration, typically in

@@ -15,19 +15,10 @@ import (
 // thread's state, the manager's state (uncore + queued work), target
 // memory, workload synchronization, violation accounting, and the engine's
 // own pacing state. It plays the role of the paper's set of fork()ed
-// processes forming a global checkpoint (Section 5.1).
-//
-// Two checkpoint implementations maintain it. The reference path
-// (RunConfig.DeepCheckpoint) builds a fresh deep copy at every boundary,
-// like re-fork()ing the whole process set. The default incremental path
-// exploits that consecutive checkpoints share most of their state — the
-// copy-on-write behavior fork() gets from the kernel for free — by keeping
-// ONE evolving snapshot and, at each boundary, copying back only state
-// dirtied since the previous one (dirty cache sets, dirty status-map
-// lines, dirty memory pages, versioned MSHR files). Rollback applies the
-// same dirty sets as an undo log. Both paths yield byte-identical Results:
-// the cost model's checkpoint words measure the simulated fork cost, which
-// is computed from the same state-size formulas either way.
+// processes forming a global checkpoint (Section 5.1). Every boundary
+// copies the whole simulation into it, like re-fork()ing the whole process
+// set; the copies land in the previous checkpoint's backing storage, so
+// after warm-up a checkpoint allocates nothing.
 type globalSnapshot struct {
 	global  int64
 	bound   int64
@@ -50,14 +41,10 @@ type globalSnapshot struct {
 
 // capture copies the simulation state into the machine's pooled snapshot
 // graph, replacing the previous checkpoint (old checkpoints are discarded
-// as the paper does to release resources). The reference path, and the
-// first checkpoint of the incremental path, deep-copy every component;
-// later incremental boundaries copy only dirty component state. Every
-// boundary recycles the same backing arrays and component snapshots. The
-// synchronization controller, the violation detector and the engine-level
-// slices copy in place at every boundary — their state is tiny and has no
-// single mutation funnel to track. The caller must have the machine
-// quiesced: no core may tick until capture returns.
+// as the paper does to release resources). Every component is copied in
+// full, into the same backing arrays and component snapshots each time.
+// The caller must have the machine quiesced: no core may tick until
+// capture returns.
 //
 //slacksim:hotpath
 func (g *manager) capture() *globalSnapshot {
@@ -68,26 +55,11 @@ func (g *manager) capture() *globalSnapshot {
 	s.lastAdapt = g.lastAdapt
 	s.retired = append(s.retired[:0], g.retired...)
 	s.gq = append(s.gq[:0], g.gq...)
-	if g.snap == nil || g.cfg.DeepCheckpoint {
-		m.unc.SnapshotInto(s.unc)
-		m.mem.SnapshotInto(s.mem)
-		m.sync.SnapshotInto(s.sync)
-		for i, c := range m.cores {
-			c.SnapshotInto(s.cores[i])
-		}
-		if !g.cfg.DeepCheckpoint {
-			// From now on every boundary needs only the dirty state. On the
-			// parallel host the next round's release publishes the track
-			// flags to the workers.
-			m.startTracking()
-		}
-	} else {
-		m.unc.SyncSnapshot(s.unc)
-		m.mem.SyncSnapshot(s.mem)
-		m.sync.SyncSnapshot(s.sync)
-		for i, c := range m.cores {
-			c.SyncSnapshot(s.cores[i])
-		}
+	m.unc.SnapshotInto(s.unc)
+	m.mem.SnapshotInto(s.mem)
+	m.sync.SnapshotInto(s.sync)
+	for i, c := range m.cores {
+		c.SnapshotInto(s.cores[i])
 	}
 	m.det.CopyInto(s.det)
 	if g.ctrl == nil {
@@ -101,9 +73,6 @@ func (g *manager) capture() *globalSnapshot {
 		s.inQs[i] = m.inQs[i].SnapshotInto(s.inQs[i])
 		s.outs[i] = m.outQs[i].SnapshotInto(s.outs[i])
 	}
-	// Checkpoint words are computed from the same formulas on both paths
-	// (the synced snapshot's lengths equal the live machine's), keeping
-	// HostWorkUnits — and therefore Results — identical.
 	s.words = int64(m.mem.AllocatedWords() + m.unc.StateWords())
 	for _, cs := range s.cores {
 		s.words += int64(cs.StateWords())
@@ -153,25 +122,15 @@ func (r *detRun) doRollback() {
 	copy(r.retired, s.retired)
 	r.lastAdapt = s.lastAdapt
 	r.gq = append(r.gq[:0], s.gq...)
-	if r.cfg.DeepCheckpoint {
-		r.m.unc.Restore(s.unc)
-		r.m.mem.Restore(s.mem)
-	} else {
-		// Undo only the state dirtied since the boundary.
-		r.m.unc.RestoreDirty(s.unc)
-		r.m.mem.RestoreDirty(s.mem)
-	}
+	r.m.unc.Restore(s.unc)
+	r.m.mem.Restore(s.mem)
 	r.m.sync.Restore(s.sync)
 	r.m.det.Restore(s.det)
 	if r.ctrl != nil && s.ctrl != nil {
 		r.ctrl.Restore(s.ctrl)
 	}
 	for i, c := range r.m.cores {
-		if r.cfg.DeepCheckpoint {
-			c.Restore(s.cores[i])
-		} else {
-			c.RestoreIncremental(s.cores[i])
-		}
+		c.Restore(s.cores[i])
 		r.m.inQs[i].Restore(s.inQs[i])
 		r.m.outQs[i].Restore(s.outs[i])
 	}

@@ -157,7 +157,7 @@ func (m *Machine) WorkloadName() string { return m.wkName }
 // first use. Exactly one checkpoint is live at a time on either host (old
 // checkpoints are discarded, as in the paper), so one graph per machine
 // suffices; every boundary overwrites it in place through the components'
-// SnapshotInto/SyncSnapshot methods.
+// SnapshotInto methods.
 func (m *Machine) snapGraph() *globalSnapshot {
 	if m.snapPool == nil {
 		m.snapPool = m.newSnapGraph() //lint:allow hotpathalloc -- one-time pool warm-up; every later boundary overwrites the graph in place
@@ -180,18 +180,6 @@ func (m *Machine) newSnapGraph() *globalSnapshot {
 		s.cores = append(s.cores, &core.Snapshot{})
 	}
 	return s
-}
-
-// startTracking enables dirty tracking in every component for incremental
-// checkpoints. Called once, at the instant the first full snapshot is
-// taken. On the parallel host this runs between two rounds, so the next
-// round's release publishes the non-atomic track flags to the workers.
-func (m *Machine) startTracking() {
-	m.mem.StartTracking()
-	m.unc.StartTracking()
-	for _, c := range m.cores {
-		c.StartTracking()
-	}
 }
 
 // committed sums committed instructions across cores.

@@ -39,7 +39,7 @@ func shapeOf(cfg MachineConfig) shapeKey {
 
 // reset returns the machine to a freshly-built state running workload w,
 // keeping every warmed allocation: cache arrays, MSHR waiter backings,
-// status-map arenas, memory page free lists, ROB free lists, out-queue
+// status-map slot arrays, memory page free lists, ROB free lists, out-queue
 // chunks, compiled programs (when the workload name matches), and the
 // pooled checkpoint snapshot graph. After reset the machine is
 // indistinguishable (state-wise) from NewMachine(cfg, w).
@@ -76,7 +76,7 @@ func (m *Machine) reset(w Workload) error {
 }
 
 // MachinePool recycles Machines between runs. A Machine's first run warms
-// every internal pool (caches, arenas, free lists, the checkpoint
+// every internal pool (caches, slot arrays, free lists, the checkpoint
 // snapshot graph); reusing the machine makes subsequent runs effectively
 // allocation-free. Machines are keyed by configuration shape, so a pool
 // can serve a mix of configurations. Safe for concurrent use.

@@ -14,6 +14,7 @@ import (
 
 	"slacksim"
 	"slacksim/client"
+	"slacksim/internal/bus"
 	"slacksim/internal/cache"
 	"slacksim/internal/coherence"
 	"slacksim/internal/core"
@@ -78,6 +79,37 @@ type fetchedWire struct {
 	PC        int
 	Inst      isa.Inst
 	PredTaken bool
+}
+
+// uncoreWire mirrors internal/uncore's snapshot wire format. The status
+// map keeps its own encoding, which statusMapWire mirrors in turn.
+type uncoreWire struct {
+	Bus  *bus.Bus
+	L2   *cache.Cache
+	Smap gobBlob
+
+	Served, Invalidations uint64
+}
+
+type statusMapWire struct {
+	NumCores int
+	Lines    []statusLineWire
+}
+
+type statusLineWire struct {
+	Addr      uint64
+	States    []coherence.State
+	MonitorTS int64
+}
+
+// gobBlob holds a value's custom gob encoding without decoding it.
+type gobBlob []byte
+
+func (b gobBlob) GobEncode() ([]byte, error) { return b, nil }
+
+func (b *gobBlob) GobDecode(data []byte) error {
+	*b = append(gobBlob(nil), data...)
+	return nil
 }
 
 // hostileSpec is a real run whose first checkpoint boundary catches core 0
@@ -355,6 +387,76 @@ func TestResumeRejectsHostileQueuesAndPacing(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkForgedResume(t, editRun(t, blob, tc.mutate), tc.want, nil)
+		})
+	}
+}
+
+// editStatusMap decodes a container, passes the status map's wire form
+// through mutate, and encodes the container again.
+func editStatusMap(t *testing.T, blob []byte, mutate func(*statusMapWire)) []byte {
+	t.Helper()
+	snap, err := durable.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := engine.RewriteUncoreSnapshot(snap.Engine, hostileSpec.Cores, func(wire []byte) ([]byte, error) {
+		var u uncoreWire
+		if err := gob.NewDecoder(bytes.NewReader(wire)).Decode(&u); err != nil {
+			return nil, err
+		}
+		var m statusMapWire
+		if err := gob.NewDecoder(bytes.NewReader(u.Smap)).Decode(&m); err != nil {
+			return nil, err
+		}
+		if len(m.Lines) < 2 {
+			t.Fatalf("the status map tracks %d lines at the boundary; the cases need 2", len(m.Lines))
+		}
+		mutate(&m)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+			return nil, err
+		}
+		u.Smap = buf.Bytes()
+		buf = bytes.Buffer{}
+		err := gob.NewEncoder(&buf).Encode(&u)
+		return buf.Bytes(), err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := durable.EncodeSnapshot(snap.Spec, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRejectsHostileStatusMap forges SLKSNAP1 payloads whose cache
+// status map names a line twice, records a state outside MESI, or is
+// shaped for another core count. The flat map indexes each line once and
+// the manager indexes its state vectors by core, so Resume and POST
+// /v1/resume must both fail naming the defect. The unedited payload must
+// still resume to the uninterrupted run's results.
+func TestResumeRejectsHostileStatusMap(t *testing.T) {
+	blob, want := exportAtFirstBoundary(t)
+	cases := []struct {
+		name   string
+		mutate func(*statusMapWire)
+		want   string
+	}{
+		{"unedited", func(*statusMapWire) {}, ""},
+		{"line named twice", func(m *statusMapWire) { m.Lines[1].Addr = m.Lines[0].Addr }, "twice"},
+		{"state 4", func(m *statusMapWire) { m.Lines[1].States[0] = coherence.Modified + 1 }, "not MESI"},
+		{"three cores", func(m *statusMapWire) {
+			m.NumCores = 3
+			for i := range m.Lines {
+				m.Lines[i].States = append(m.Lines[i].States, coherence.Invalid)
+			}
+		}, "status map"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkForgedResume(t, editStatusMap(t, blob, tc.mutate), tc.want, &want)
 		})
 	}
 }

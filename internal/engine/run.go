@@ -45,15 +45,10 @@ type RunConfig struct {
 	// cycle-by-cycle to the next boundary (forward progress), then resumes
 	// the slack scheme.
 	Rollback bool
-	// DeepCheckpoint selects the reference checkpoint implementation: a
-	// full deep copy of all simulation state at every boundary. The
-	// default (false) is the incremental copy-on-write path, which keeps
-	// one evolving snapshot and copies only state dirtied since the
-	// previous boundary. Both paths produce byte-identical Results (the
-	// cost model charges the same checkpoint words either way — it models
-	// the paper's fork()-based checkpoints, whose cost the host-side
-	// incremental optimization does not change); the deep path exists for
-	// equivalence testing and as a fallback.
+	// DeepCheckpoint is ignored: every checkpoint is a full copy. The
+	// field remains only because the benchmark under bench/ sets it by
+	// name for its checkpoint.deep_over_incremental metric; delete it
+	// together with that metric.
 	DeepCheckpoint bool
 	// Selected restricts which violation types steer adaptation and
 	// trigger rollback (nil = all types).

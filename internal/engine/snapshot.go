@@ -385,6 +385,9 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 			return Results{}, fmt.Errorf("engine: resume: %w", err)
 		}
 	}
+	if err := m.unc.CheckSnapshot(st.unc); err != nil {
+		return Results{}, fmt.Errorf("engine: resume: %w", err)
+	}
 	if err := st.checkQueues(cfg.MaxCycles); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}

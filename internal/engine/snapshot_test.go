@@ -65,12 +65,6 @@ func TestResumeBoundedRollback(t *testing.T) {
 		RunConfig{Scheme: BoundedSlack(64), Seed: 7, CheckpointInterval: 256, Rollback: true})
 }
 
-func TestResumeDeepCheckpoint(t *testing.T) {
-	resumeRoundTrip(t, func() workload.Workload { return workload.NewFalseShare(128) }, 4,
-		RunConfig{Scheme: BoundedSlack(64), Seed: 7, CheckpointInterval: 256,
-			Rollback: true, DeepCheckpoint: true})
-}
-
 func TestResumeAdaptive(t *testing.T) {
 	resumeRoundTrip(t, func() workload.Workload { return workload.NewFFT(64) }, 4,
 		RunConfig{Scheme: AdaptiveSlack(adaptive.DefaultConfig()), Seed: 3,

@@ -145,8 +145,8 @@ func (q *Queue[T]) Snapshot() []T {
 }
 
 // SnapshotInto copies the queue contents into buf's backing array
-// (truncating buf first) and returns it, for incremental checkpoints
-// that reuse their buffers.
+// (truncating buf first) and returns it, for checkpoints that reuse
+// their buffers.
 //
 //slacksim:hotpath
 func (q *Queue[T]) SnapshotInto(buf []T) []T {

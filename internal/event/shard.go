@@ -182,8 +182,8 @@ func (s *Shard[T]) Snapshot() []T {
 }
 
 // SnapshotInto copies the shard contents into buf's backing array
-// (truncating buf first) and returns it, for incremental checkpoints that
-// reuse their buffers. Quiesced only.
+// (truncating buf first) and returns it, for checkpoints that reuse
+// their buffers. Quiesced only.
 //
 //slacksim:hotpath
 func (s *Shard[T]) SnapshotInto(buf []T) []T {

@@ -12,7 +12,7 @@
 //     clock, use the global math/rand generator, or let map iteration
 //     order escape into ordered output.
 //   - hotpathalloc: functions annotated //slacksim:hotpath must not
-//     allocate (protecting the incremental-checkpoint hot paths).
+//     allocate (protecting the checkpoint and rollback hot paths).
 //   - guardedby: struct fields annotated "guarded by mu" may only be
 //     accessed while that mutex is held.
 //   - poolescape: memory from //slacksim:pooled allocators must not

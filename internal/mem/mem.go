@@ -12,7 +12,6 @@ package mem
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 const (
@@ -29,9 +28,6 @@ type page [PageWords]uint64
 type shard struct {
 	mu    sync.RWMutex
 	pages map[uint64]*page
-	// dirty lists pages written since the last incremental-checkpoint
-	// sync; guarded by mu.
-	dirty map[uint64]struct{}
 	// free parks zeroed pages released by rollback deletion or Reset, so
 	// page churn recycles instead of allocating; guarded by mu (or by
 	// exclusive ownership of the Memory, e.g. a manager-private snapshot).
@@ -66,10 +62,6 @@ func (sh *shard) putPage(p *page) {
 // Memory is a sparse, sharded target memory image.
 type Memory struct {
 	shards [numShards]shard
-	// track enables dirty-page recording. Atomic because the parallel
-	// host's core goroutines consult it inside Write while the manager
-	// flips it on at the first checkpoint.
-	track atomic.Bool
 }
 
 // New returns an empty memory image.
@@ -117,9 +109,6 @@ func (m *Memory) Write(addr uint64, v uint64) {
 		sh.pages[pn] = p
 	}
 	p[off] = v
-	if m.track.Load() {
-		sh.dirty[pn] = struct{}{}
-	}
 	sh.mu.Unlock()
 }
 
@@ -170,7 +159,6 @@ func (m *Memory) Restore(snap *Memory) {
 			}
 			*q = *p
 		}
-		clear(dst.dirty)
 		dst.mu.Unlock()
 		src.mu.RUnlock()
 	}
@@ -180,7 +168,6 @@ func (m *Memory) Restore(snap *Memory) {
 // recycling every page through the shard free lists. Used when a pooled
 // machine is recycled for a new run.
 func (m *Memory) Reset() {
-	m.track.Store(false)
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -188,84 +175,7 @@ func (m *Memory) Reset() {
 			sh.putPage(p)
 		}
 		clear(sh.pages)
-		clear(sh.dirty)
 		sh.mu.Unlock()
-	}
-}
-
-// StartTracking begins dirty-page tracking for incremental checkpoints;
-// the caller takes a full Snapshot at the same instant. On the parallel
-// host it must be called while core goroutines are quiescent (the
-// manager's checkpoint path guarantees this).
-func (m *Memory) StartTracking() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		if sh.dirty == nil {
-			sh.dirty = make(map[uint64]struct{}) //lint:allow hotpathalloc -- one-time tracking warm-up; cleared and reused thereafter
-		} else {
-			clear(sh.dirty)
-		}
-		sh.mu.Unlock()
-	}
-	m.track.Store(true)
-}
-
-// SyncSnapshot brings snap (a full Snapshot kept current since tracking
-// started) up to date by copying only pages written since the last sync
-// or restore.
-//
-//slacksim:hotpath
-func (m *Memory) SyncSnapshot(snap *Memory) {
-	for i := range m.shards {
-		src := &m.shards[i]
-		dst := &snap.shards[i]
-		src.mu.Lock()
-		for pn := range src.dirty {
-			p := src.pages[pn]
-			if p == nil {
-				continue
-			}
-			q := dst.pages[pn]
-			if q == nil {
-				// First sync of a page only; subsequent boundaries reuse
-				// it, and the free list makes even the first sync cheap.
-				q = dst.getPage()
-				dst.pages[pn] = q
-			}
-			*q = *p
-		}
-		clear(src.dirty)
-		src.mu.Unlock()
-	}
-}
-
-// RestoreDirty rolls memory back to snap by undoing only the pages
-// written since the last sync: diverged pages are copied back and pages
-// allocated after the checkpoint are deleted (so AllocatedWords — which
-// feeds the checkpoint cost model — matches a deep restore exactly).
-//
-//slacksim:hotpath
-func (m *Memory) RestoreDirty(snap *Memory) {
-	for i := range m.shards {
-		dst := &m.shards[i]
-		src := &snap.shards[i]
-		dst.mu.Lock()
-		for pn := range dst.dirty {
-			q := src.pages[pn]
-			if q == nil {
-				if p := dst.pages[pn]; p != nil {
-					dst.putPage(p)
-				}
-				delete(dst.pages, pn)
-				continue
-			}
-			if p := dst.pages[pn]; p != nil {
-				*p = *q
-			}
-		}
-		clear(dst.dirty)
-		dst.mu.Unlock()
 	}
 }
 

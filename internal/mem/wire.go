@@ -36,7 +36,7 @@ func (m *Memory) GobEncode() ([]byte, error) {
 }
 
 // GobDecode implements gob.GobDecoder, leaving the memory holding
-// exactly the encoded pages with tracking off.
+// exactly the encoded pages.
 func (m *Memory) GobDecode(data []byte) error {
 	var pages []pageWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pages); err != nil {
@@ -51,9 +51,7 @@ func (m *Memory) GobDecode(data []byte) error {
 		dst := &m.shards[i]
 		dst.mu.Lock()
 		dst.pages = fresh.shards[i].pages
-		dst.dirty = nil
 		dst.mu.Unlock()
 	}
-	m.track.Store(false)
 	return nil
 }

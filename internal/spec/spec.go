@@ -435,7 +435,7 @@ func FromRun(workload string, scale, cores int, rc engine.RunConfig) (Spec, erro
 		return Spec{}, fmt.Errorf("spec: violation selection %v has no spec form", rc.Selected)
 	}
 	if rc.MaxCycles != 0 || rc.MaxChunk != 0 || rc.HostDriftCap != 0 ||
-		rc.DeepCheckpoint || rc.Tracer != nil || rc.MemRecorder != nil {
+		rc.Tracer != nil || rc.MemRecorder != nil {
 		return Spec{}, fmt.Errorf("spec: run config uses host knobs a spec cannot carry")
 	}
 	if rc.Sampling != nil {

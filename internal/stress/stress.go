@@ -47,8 +47,6 @@ type Config struct {
 	// Rollback enables speculative slack simulation (deterministic host
 	// only; the parallel host rejects it).
 	Rollback bool
-	// DeepCheckpoint selects the reference deep-copy checkpoint path.
-	DeepCheckpoint bool
 	// StallTimeout is the parallel host's watchdog budget for this run.
 	StallTimeout time.Duration
 }
@@ -90,7 +88,6 @@ func (c Config) runConfig() engine.RunConfig {
 		MaxCycles:          c.MaxCycles,
 		MaxInstructions:    c.MaxInstructions,
 		Rollback:           c.Rollback,
-		DeepCheckpoint:     c.DeepCheckpoint,
 		StallTimeout:       c.StallTimeout,
 	}
 }
@@ -159,82 +156,60 @@ func Execute(c Config) (Result, error) {
 	return res, nil
 }
 
-// ExecuteCheckpointEquivalence runs one scenario three times on the
-// deterministic host — once with the reference deep-copy checkpoints,
-// once with the default incremental copy-on-write checkpoints, and once
-// more incrementally on a RECYCLED machine (the incremental machine put
-// through MachinePool and reset, so every pooled structure — caches,
-// arenas, free lists, the checkpoint snapshot graph — is reused warm) —
-// and demands byte-identical outcomes: the full Results struct
-// (wall-clock excepted, the only host-dependent field), the final target
-// memory image, the uncore (L2 + status map + MSHRs + bus), and every
-// core's architectural and microarchitectural state. This is the
-// property that makes the incremental path and machine pooling pure
-// optimizations.
-func ExecuteCheckpointEquivalence(c Config) error {
-	run := func(deep bool) (engine.Results, *engine.Machine, error) {
+// ExecutePooledEquivalence runs one scenario on the deterministic host
+// twice — on a fresh machine, and on a machine recycled through
+// MachinePool after a warm-up run of the same scenario under the next
+// seed, so every pooled structure (caches, status-map slot arrays, free
+// lists, the checkpoint snapshot graph) is reused warm and holds another
+// run's residue — and demands byte-identical outcomes: the full Results
+// struct (wall-clock excepted, the only host-dependent field), the final
+// target memory image, the uncore (L2 + status map + bus), and every
+// core's architectural and microarchitectural state. This is the property
+// that makes machine pooling a pure optimization.
+func ExecutePooledEquivalence(c Config) error {
+	mc := engine.MachineConfig{NumCores: c.Cores}
+	pool := engine.NewMachinePool()
+	// run takes its machine from the pool, which builds a fresh one while
+	// it holds none.
+	run := func(c Config) (engine.Results, *engine.Machine, error) {
 		w, err := c.build()
 		if err != nil {
 			return engine.Results{}, nil, err
 		}
-		m, err := engine.NewMachine(engine.MachineConfig{NumCores: c.Cores}, w)
+		m, err := pool.Get(mc, w)
 		if err != nil {
 			return engine.Results{}, nil, fmt.Errorf("stress: build machine: %w", err)
 		}
-		rc := c.runConfig()
-		rc.DeepCheckpoint = deep
-		res, err := engine.Run(m, rc)
+		res, err := engine.Run(m, c.runConfig())
 		if err != nil {
-			return engine.Results{}, nil, fmt.Errorf("stress: deterministic host (deep=%v): %w", deep, err)
+			return engine.Results{}, nil, fmt.Errorf("stress: deterministic host (seed %d): %w", c.Seed, err)
 		}
+		res.WallClock = 0
 		return res, m, nil
 	}
-	deepRes, deepM, err := run(true)
+	freshRes, freshM, err := run(c)
 	if err != nil {
 		return err
 	}
-	incRes, incM, err := run(false)
+	warm := c
+	warm.Seed++
+	_, warmM, err := run(warm)
 	if err != nil {
 		return err
 	}
-	deepRes.WallClock, incRes.WallClock = 0, 0
-	if !reflect.DeepEqual(deepRes, incRes) {
-		return fmt.Errorf("stress: %s: results diverge between deep and incremental checkpoints:\ndeep:        %+v\nincremental: %+v",
-			c, deepRes, incRes)
-	}
-	if err := compareMachines(c, "deep and incremental checkpoints", deepM, incM); err != nil {
-		return err
-	}
-
-	// Third leg: recycle the incremental machine through a pool and run
-	// the same scenario again on it. A pooled machine's reset must leave
-	// no residue — the run on warmed, reused storage must match the deep
-	// reference bit for bit too.
-	w, err := c.build()
+	pool.Put(warmM)
+	poolRes, poolM, err := run(c)
 	if err != nil {
 		return err
 	}
-	pool := engine.NewMachinePool()
-	pool.Put(incM)
-	poolM, err := pool.Get(engine.MachineConfig{NumCores: c.Cores}, w)
-	if err != nil {
-		return fmt.Errorf("stress: pooled machine get: %w", err)
-	}
-	if poolM != incM {
+	if poolM != warmM {
 		return fmt.Errorf("stress: %s: pool built a fresh machine instead of recycling", c)
 	}
-	rc := c.runConfig()
-	rc.DeepCheckpoint = false
-	poolRes, err := engine.Run(poolM, rc)
-	if err != nil {
-		return fmt.Errorf("stress: deterministic host (pooled): %w", err)
+	if !reflect.DeepEqual(freshRes, poolRes) {
+		return fmt.Errorf("stress: %s: results diverge between fresh and pooled machines:\nfresh:  %+v\npooled: %+v",
+			c, freshRes, poolRes)
 	}
-	poolRes.WallClock = 0
-	if !reflect.DeepEqual(deepRes, poolRes) {
-		return fmt.Errorf("stress: %s: results diverge between deep and pooled incremental runs:\ndeep:   %+v\npooled: %+v",
-			c, deepRes, poolRes)
-	}
-	return compareMachines(c, "deep and pooled incremental runs", deepM, poolM)
+	return compareMachines(c, "fresh and pooled machines", freshM, poolM)
 }
 
 // compareMachines demands byte-identical final machine state.

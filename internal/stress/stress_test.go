@@ -86,16 +86,16 @@ func TestSpeculativeDrawsExerciseRollback(t *testing.T) {
 	}
 }
 
-// TestCheckpointEquivalenceProperty is the correctness proof behind the
-// incremental checkpoint path: across edge scenarios and randomized
-// speculative sweeps, deep-copy and incremental checkpoints must produce
-// identical Results and identical final machine state.
-func TestCheckpointEquivalenceProperty(t *testing.T) {
+// TestPooledEquivalenceProperty is the correctness proof behind machine
+// pooling: across edge scenarios and randomized speculative sweeps, a run
+// on a recycled machine must produce the same Results and the same final
+// machine state as the run on a fresh one.
+func TestPooledEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var cfgs []Config
 	for _, c := range Edges() {
 		if c.CheckpointInterval == 0 {
-			c.CheckpointInterval = 64 // the property needs checkpoints to compare
+			c.CheckpointInterval = 64 // the snapshot graph is pooled state too
 		}
 		cfgs = append(cfgs, c)
 	}
@@ -115,7 +115,7 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 		cfgs = append(cfgs, RandomSpeculative(rng))
 	}
 	// Checkpointing without rollback must match too (checkpoints still
-	// mutate accounting and snapshots even when never restored).
+	// fill the pooled snapshot graph even when never restored).
 	for i := 0; i < nCC; i++ {
 		c := RandomEquivalence(rng)
 		if c.CheckpointInterval == 0 {
@@ -124,7 +124,7 @@ func TestCheckpointEquivalenceProperty(t *testing.T) {
 		cfgs = append(cfgs, c)
 	}
 	for i, c := range cfgs {
-		if err := ExecuteCheckpointEquivalence(c); err != nil {
+		if err := ExecutePooledEquivalence(c); err != nil {
 			t.Errorf("config %d: %v", i, err)
 		}
 	}

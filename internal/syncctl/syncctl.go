@@ -221,15 +221,15 @@ func (c *Controller) Snapshot() *Controller {
 	return n
 }
 
-// SyncSnapshot brings dst — a snapshot previously built with Snapshot —
-// up to date with the live controller, reusing dst's maps and entry
-// allocations: the mirror image of Restore, for incremental checkpoints
-// that keep one evolving snapshot instead of deep-copying every boundary.
-// dst is owned by the checkpointing goroutine, so only the live
-// controller is locked.
+// SnapshotInto deep-copies the controller into dst, a controller built
+// with New or Snapshot, reusing dst's maps and entries — the
+// pooled-snapshot-graph variant of Snapshot and the mirror image of
+// Restore. It walks every lock and barrier and deletes stale entries, so
+// dst ends an exact copy. dst is owned by the checkpointing goroutine, so
+// only the live controller is locked.
 //
 //slacksim:hotpath
-func (c *Controller) SyncSnapshot(dst *Controller) {
+func (c *Controller) SnapshotInto(dst *Controller) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dst.numCores = c.numCores
@@ -265,14 +265,6 @@ func (c *Controller) SyncSnapshot(dst *Controller) {
 	}
 	dst.Acquires, dst.Releases, dst.Contended, dst.BarrierEpisodes =
 		c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes
-}
-
-// SnapshotInto deep-copies the controller into dst, reusing dst's maps
-// and entries — the pooled-snapshot-graph variant of Snapshot. It shares
-// SyncSnapshot's implementation: that path already performs a complete
-// overwrite (it walks every lock and barrier, deleting stale entries).
-func (c *Controller) SnapshotInto(dst *Controller) {
-	c.SyncSnapshot(dst)
 }
 
 // Reset returns the controller to its freshly-constructed state (same

@@ -275,43 +275,29 @@ func (u *Uncore) Reset() {
 	u.trc = nil
 }
 
+// CheckSnapshot reports why s cannot be restored into u, or nil. Restore
+// trusts its snapshot, so one decoded from bytes that crossed a socket or
+// a disk must pass this first: every component present, the L2 of u's
+// geometry, and the status map sized for u's cores (the manager indexes
+// its state vectors by core).
+func (u *Uncore) CheckSnapshot(s *Snapshot) error {
+	switch {
+	case s == nil || s.bus == nil || s.l2 == nil || s.smap == nil:
+		return fmt.Errorf("uncore snapshot: missing bus, L2 or status map state")
+	case s.l2.Config() != u.l2.Config():
+		return fmt.Errorf("uncore snapshot: L2 geometry differs from the machine's")
+	case s.smap.NumCores() != u.smap.NumCores():
+		return fmt.Errorf("uncore snapshot: status map tracks %d cores, the machine has %d",
+			s.smap.NumCores(), u.smap.NumCores())
+	}
+	return nil
+}
+
 // Restore overwrites the uncore from a snapshot.
 func (u *Uncore) Restore(s *Snapshot) {
 	u.bus.Restore(s.bus)
 	u.l2.Restore(s.l2)
 	u.smap.Restore(s.smap)
-	u.Served = s.served
-	u.Invalidations = s.invalidations
-}
-
-// StartTracking begins dirty tracking in the L2 and status map for
-// incremental checkpoints; the caller takes a full Snapshot at the same
-// instant.
-func (u *Uncore) StartTracking() {
-	u.l2.StartTracking()
-	u.smap.StartTracking()
-}
-
-// SyncSnapshot brings s (a full Snapshot kept current since tracking
-// started) up to date, copying only dirty L2 sets and status-map lines.
-//
-//slacksim:hotpath
-func (u *Uncore) SyncSnapshot(s *Snapshot) {
-	u.bus.SyncSnapshot(s.bus)
-	u.l2.SyncSnapshot(s.l2)
-	u.smap.SyncSnapshot(s.smap)
-	s.served = u.Served
-	s.invalidations = u.Invalidations
-}
-
-// RestoreDirty rolls the uncore back to s, undoing only state touched
-// since the last sync.
-//
-//slacksim:hotpath
-func (u *Uncore) RestoreDirty(s *Snapshot) {
-	u.bus.Restore(s.bus)
-	u.l2.RestoreDirty(s.l2)
-	u.smap.RestoreDirty(s.smap)
 	u.Served = s.served
 	u.Invalidations = s.invalidations
 }

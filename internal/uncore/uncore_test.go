@@ -263,3 +263,30 @@ func TestL2EvictionsHappen(t *testing.T) {
 	}
 	_ = cache.LineBytes // keep import honest if constants change
 }
+
+// TestCheckSnapshotRejectsForeignShapes: a snapshot restored into an
+// uncore must carry every component, an L2 of the same geometry and a
+// status map for the same core count.
+func TestCheckSnapshotRejectsForeignShapes(t *testing.T) {
+	u := newFixture(t, 2).u
+	if err := u.CheckSnapshot(u.Snapshot()); err != nil {
+		t.Fatalf("own snapshot rejected: %v", err)
+	}
+	bigL2 := DefaultConfig(2)
+	bigL2.L2.SizeBytes *= 2
+	other, err := New(bigL2, newFixture(t, 2).inQs, violation.NewDetector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	noMap := u.Snapshot()
+	noMap.smap = nil
+	for name, s := range map[string]*Snapshot{
+		"missing status map": noMap,
+		"other L2 geometry":  other.Snapshot(),
+		"four-core map":      newFixture(t, 4).u.Snapshot(),
+	} {
+		if err := u.CheckSnapshot(s); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -269,8 +269,8 @@ func (d *Detector) Snapshot() *Detector {
 
 // CopyInto deep-copies the detector's state into dst, reusing dst's
 // IntervalStats entries and their maps when the tracked interval lengths
-// match — the per-boundary variant of Snapshot used by incremental
-// checkpoints, allocation-free in the steady state.
+// match — the per-boundary variant of Snapshot used by checkpoints,
+// allocation-free in the steady state.
 //
 //slacksim:hotpath
 func (d *Detector) CopyInto(dst *Detector) {
