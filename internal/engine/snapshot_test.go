@@ -65,6 +65,24 @@ func TestResumeBoundedRollback(t *testing.T) {
 		RunConfig{Scheme: BoundedSlack(64), Seed: 7, CheckpointInterval: 256, Rollback: true})
 }
 
+// TestResumeDeepCheckpoint keeps configs that still set the ignored
+// DeepCheckpoint field working: the run must round-trip exactly and match
+// the same config without the field.
+func TestResumeDeepCheckpoint(t *testing.T) {
+	mkW := func() workload.Workload { return workload.NewFalseShare(128) }
+	cfg := RunConfig{Scheme: BoundedSlack(64), Seed: 7, CheckpointInterval: 256, Rollback: true}
+	deep := cfg
+	deep.DeepCheckpoint = true
+	resumeRoundTrip(t, mkW, 4, deep)
+
+	plain := MustRun(newTestMachine(t, mkW(), 4), cfg)
+	got := MustRun(newTestMachine(t, mkW(), 4), deep)
+	if !reflect.DeepEqual(stripWall(plain), stripWall(got)) {
+		t.Errorf("DeepCheckpoint changed the results:\nwithout: %+v\nwith:    %+v",
+			stripWall(plain), stripWall(got))
+	}
+}
+
 func TestResumeAdaptive(t *testing.T) {
 	resumeRoundTrip(t, func() workload.Workload { return workload.NewFFT(64) }, 4,
 		RunConfig{Scheme: AdaptiveSlack(adaptive.DefaultConfig()), Seed: 3,
