@@ -10,47 +10,43 @@ import (
 
 // ResultCache presents a Store as the server's result cache: a bounded
 // LRU memory tier in front of the persistent content-addressed store.
-// Results are deterministic functions of their spec digest, and the JSON
-// encoding of Results round-trips exactly (float64 marshals shortest-
-// form), so a result served from disk is byte-identical to the freshly
-// computed one.
+// Both tiers hold a result's JSON encoding, made once when its job
+// finished; the bytes a disk hit returns are the bytes that were stored,
+// so they are what the server splices into its replies.
 type ResultCache struct {
 	store *Store
-	mem   *resultcache.Cache[*slacksim.Results]
+	mem   *resultcache.Cache[json.RawMessage]
 }
 
 // NewResultCache fronts store with a memEntries-entry LRU tier.
 func NewResultCache(store *Store, memEntries int) *ResultCache {
-	return &ResultCache{store: store, mem: resultcache.New[*slacksim.Results](memEntries)}
+	return &ResultCache{store: store, mem: resultcache.New[json.RawMessage](memEntries)}
 }
 
-// Get returns the cached result for key, consulting the memory tier
-// first and falling back to the store (promoting the hit).
-func (c *ResultCache) Get(key string) (*slacksim.Results, bool) {
-	if res, ok := c.mem.Get(key); ok {
-		return res, true
+// Get returns the cached encoding for key, consulting the memory tier
+// first and falling back to the store. A stored record is promoted only
+// after it decodes as slacksim.Results, so a record that passed its CRC
+// but is not a result never reaches a client: it counts as a miss and
+// the job runs again, overwriting it.
+func (c *ResultCache) Get(key string) (json.RawMessage, bool) {
+	if blob, ok := c.mem.Get(key); ok {
+		return blob, true
 	}
 	blob, ok := c.store.Get(key)
 	if !ok {
 		return nil, false
 	}
-	var res slacksim.Results
-	if err := json.Unmarshal(blob, &res); err != nil {
+	if err := json.Unmarshal(blob, new(slacksim.Results)); err != nil {
 		log.Printf("durable: result for %s does not decode (dropping): %v", key, err)
 		return nil, false
 	}
-	c.mem.Put(key, &res)
-	return &res, true
+	c.mem.Put(key, blob)
+	return blob, true
 }
 
-// Put stores the result durably and in the memory tier.
-func (c *ResultCache) Put(key string, res *slacksim.Results) {
-	c.mem.Put(key, res)
-	blob, err := json.Marshal(res)
-	if err != nil {
-		log.Printf("durable: result for %s does not encode: %v", key, err)
-		return
-	}
+// Put stores the encoding durably and in the memory tier.
+func (c *ResultCache) Put(key string, blob json.RawMessage) {
+	c.mem.Put(key, blob)
 	if err := c.store.Put(key, blob); err != nil {
 		log.Printf("durable: persisting result for %s: %v", key, err)
 	}

@@ -186,9 +186,7 @@ func (f *Facade) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 func (f *Facade) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{"workers": f.reg.Snapshot()})
+	_ = json.NewEncoder(w).Encode(map[string]any{"workers": f.reg.Snapshot()})
 }
 
 // WriteMetrics emits the coordinator's own service counters (its queue,

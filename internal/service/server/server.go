@@ -7,14 +7,16 @@
 //   - a content-addressed result cache (internal/service/resultcache)
 //     keyed by spec.Key, so identical runs are served without
 //     re-simulating, plus single-flight coalescing so N concurrent
-//     identical submissions share one engine run;
+//     identical submissions share one engine run. A result is encoded
+//     once, when its run finishes; the cache, the store and every reply
+//     carry those bytes unchanged;
 //   - a worker pool (default GOMAXPROCS) that executes runs through the
 //     public slacksim API with the stall watchdog armed, streaming the
 //     engine's progress hook out to SSE subscribers;
 //   - graceful drain: on SIGTERM the daemon stops admission, finishes
 //     every accepted job, and only then exits, so no result is dropped.
 //
-// API (all JSON):
+// API (all compact JSON):
 //
 //	POST   /v1/jobs            submit a run spec; 202 + job, 200 on cache hit,
 //	                           429 + Retry-After on a full queue
@@ -165,9 +167,10 @@ type Config struct {
 	// per-attempt dispatch history). A nil return adds nothing.
 	Detail func(jobID string) any
 	// Cache overrides the result cache (default: an in-memory LRU of
-	// CacheSize entries). slacksimd -data passes a durable.ResultCache so
-	// results survive restarts.
-	Cache resultcache.Interface[*slacksim.Results]
+	// CacheSize entries). It maps a spec key to the JSON encoding of the
+	// run's slacksim.Results. slacksimd -data passes a
+	// durable.ResultCache so results survive restarts.
+	Cache resultcache.Interface[json.RawMessage]
 	// Journal, when non-nil, receives every job lifecycle transition so a
 	// restarted daemon can Recover the jobs it had accepted. slacksimd
 	// -data passes a durable.Journal.
@@ -213,7 +216,7 @@ func (c Config) withDefaults() Config {
 		c.Runner = RealRunner
 	}
 	if c.Cache == nil {
-		c.Cache = resultcache.New[*slacksim.Results](c.CacheSize)
+		c.Cache = resultcache.New[json.RawMessage](c.CacheSize)
 	}
 	if c.Journal == nil {
 		c.Journal = nopJournal{}
@@ -229,7 +232,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	queue *jobqueue.Queue
-	cache resultcache.Interface[*slacksim.Results]
+	cache resultcache.Interface[json.RawMessage]
 
 	// mu guards the single-flight table: spec key → in-flight job.
 	mu       sync.Mutex
@@ -361,8 +364,15 @@ func (s *Server) runJob(j *jobqueue.Job) {
 		Resume:          resume,
 	})
 	s.runs.Add(1)
+	// The result's one encoding: cached, stored and spliced into every
+	// reply as it is.
+	var blob json.RawMessage
 	if err == nil {
-		s.cache.Put(j.Key, res)
+		if blob, err = json.Marshal(res); err == nil {
+			s.cache.Put(j.Key, blob)
+		} else {
+			err = fmt.Errorf("encoding result: %w", err)
+		}
 	}
 	if errors.Is(err, slacksim.ErrInterrupted) {
 		err = fmt.Errorf("%w: %v", jobqueue.ErrCancelled, err)
@@ -370,11 +380,12 @@ func (s *Server) runJob(j *jobqueue.Job) {
 	if errors.Is(err, slacksim.ErrSnapshotted) {
 		err = fmt.Errorf("%w: state exported at checkpoint", jobqueue.ErrMigrated)
 	}
-	s.retire(j, res, err)
+	s.retire(j, blob, err)
 }
 
-// retire releases a job's bookkeeping and finishes it.
-func (s *Server) retire(j *jobqueue.Job, res *slacksim.Results, err error) {
+// retire releases a job's bookkeeping and finishes it with the result's
+// encoding (nil when err is set).
+func (s *Server) retire(j *jobqueue.Job, blob json.RawMessage, err error) {
 	s.mu.Lock()
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
@@ -386,7 +397,7 @@ func (s *Server) retire(j *jobqueue.Job, res *slacksim.Results, err error) {
 	s.smu.Lock()
 	delete(s.snapReqs, j.ID)
 	s.smu.Unlock()
-	s.queue.Finish(j, res, err)
+	s.queue.Finish(j, blob, err)
 	s.cfg.Journal.JobFinished(j.ID, j.State(), j.Err())
 }
 
@@ -420,7 +431,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// jobView is the wire representation of a job.
+// jobView is the wire representation of a job, less its result: a done
+// job's reply carries the result's stored encoding as a last "result"
+// member (see encodeView).
 type jobView struct {
 	ID        string             `json:"id"`
 	State     string             `json:"state"`
@@ -429,14 +442,35 @@ type jobView struct {
 	Cached    bool               `json:"cached,omitempty"`
 	Coalesced bool               `json:"coalesced,omitempty"`
 	Progress  *slacksim.Progress `json:"progress,omitempty"`
-	Result    *slacksim.Results  `json:"result,omitempty"`
 	Error     string             `json:"error,omitempty"`
 	// Detail carries runner-specific extras (the fleet façade's
 	// per-attempt dispatch history).
 	Detail any `json:"detail,omitempty"`
 }
 
-func (s *Server) view(j *jobqueue.Job, cached, coalesced bool) jobView {
+// encodedView is a job's compact JSON reply in two parts: the view's own
+// fields, encoded per reply, and a done job's result, the encoding made
+// when its run finished. No reply re-encodes a result.
+type encodedView struct {
+	head   []byte
+	result json.RawMessage
+}
+
+// writeTo writes the reply: head, with the result spliced in as its last
+// member when there is one.
+func (e encodedView) writeTo(w io.Writer) {
+	if len(e.result) == 0 {
+		_, _ = w.Write(e.head)
+		return
+	}
+	_, _ = w.Write(e.head[:len(e.head)-1])
+	_, _ = io.WriteString(w, `,"result":`)
+	_, _ = w.Write(e.result)
+	_, _ = io.WriteString(w, "}")
+}
+
+// encodeView encodes job j's view for a reply.
+func (s *Server) encodeView(j *jobqueue.Job, cached, coalesced bool) (encodedView, error) {
 	v := jobView{
 		ID:        j.ID,
 		State:     j.State().String(),
@@ -451,14 +485,30 @@ func (s *Server) view(j *jobqueue.Job, cached, coalesced bool) jobView {
 	if p, ok := j.LastEvent().(slacksim.Progress); ok {
 		v.Progress = &p
 	}
+	var e encodedView
 	if j.State().Terminal() {
 		if res, err := j.Result(); err != nil {
 			v.Error = err.Error()
-		} else if r, ok := res.(*slacksim.Results); ok {
-			v.Result = r
+		} else {
+			e.result, _ = res.(json.RawMessage)
 		}
 	}
-	return v
+	var err error
+	e.head, err = json.Marshal(v)
+	return e, err
+}
+
+// writeView replies with a job's view.
+func (s *Server) writeView(w http.ResponseWriter, code int, j *jobqueue.Job, cached, coalesced bool) {
+	e, err := s.encodeView(j, cached, coalesced)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encoding job %s: %v", j.ID, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	e.writeTo(w)
+	_, _ = io.WriteString(w, "\n")
 }
 
 // Handler returns the service's HTTP routes.
@@ -490,14 +540,28 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
+
+// writeBodyErr answers a request body that could not be read or decoded:
+// 413 when it ran past its http.MaxBytesReader cap, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, mbe.Limit)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "bad %s: %v", what, err)
+}
+
+// maxSpecBody bounds POST /v1/jobs bodies. A spec is a few hundred bytes
+// unless it carries an inline trace; the largest trace the repository's
+// tools record (fft at scale 4 on 8 cores) is 434 KB, 578 KB in base64,
+// and this cap leaves room for one about 28 times that.
+const maxSpecBody = 16 << 20
 
 // handleSubmit admits one run spec: cache hit → an immediately-done job;
 // identical run in flight → coalesce onto it; otherwise enqueue, or 429
@@ -508,8 +572,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sp spec.Spec
-	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad spec: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody)).Decode(&sp); err != nil {
+		writeBodyErr(w, "spec", err)
 		return
 	}
 	sp = sp.Normalize()
@@ -525,13 +589,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
 		j := s.queue.AddDone(key, sp, res)
-		writeJSON(w, http.StatusOK, s.view(j, true, false))
+		s.writeView(w, http.StatusOK, j, true, false)
 		return
 	}
 	if j, ok := s.inflight[key]; ok {
 		s.coalesced.Add(1)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, s.view(j, false, true))
+		s.writeView(w, http.StatusAccepted, j, false, true)
 		return
 	}
 	j, err := s.enqueueLocked(key, sp, nil)
@@ -548,7 +612,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.inflight[key] = j
 	s.mu.Unlock()
 	s.cfg.Journal.JobSubmitted(j.ID, key, sp)
-	writeJSON(w, http.StatusAccepted, s.view(j, false, false))
+	s.writeView(w, http.StatusAccepted, j, false, false)
 }
 
 // enqueueLocked submits a job and registers its interrupt and
@@ -588,7 +652,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	}
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading snapshot: %v", err)
+		writeBodyErr(w, "snapshot", err)
 		return
 	}
 	snap, err := durable.DecodeSnapshot(blob)
@@ -603,13 +667,13 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
 		j := s.queue.AddDone(key, sp, res)
-		writeJSON(w, http.StatusOK, s.view(j, true, false))
+		s.writeView(w, http.StatusOK, j, true, false)
 		return
 	}
 	if j, ok := s.inflight[key]; ok {
 		s.coalesced.Add(1)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, s.view(j, false, true))
+		s.writeView(w, http.StatusAccepted, j, false, true)
 		return
 	}
 	j, err := s.enqueueLocked(key, sp, blob)
@@ -630,7 +694,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	// not persisted — determinism makes the restart merely slower, never
 	// wrong).
 	s.cfg.Journal.JobSubmitted(j.ID, key, sp)
-	writeJSON(w, http.StatusAccepted, s.view(j, false, false))
+	s.writeView(w, http.StatusAccepted, j, false, false)
 }
 
 // handleMigrate asks a job to stop at its next checkpoint and export its
@@ -659,7 +723,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		delete(s.snapReqs, id)
 		s.smu.Unlock()
 		s.cfg.Journal.JobFinished(id, jobqueue.Migrated, jobqueue.ErrMigrated.Error())
-		writeJSON(w, http.StatusOK, s.view(j, false, false))
+		s.writeView(w, http.StatusOK, j, false, false)
 	case errors.Is(err, jobqueue.ErrNotCancellable) && j.State() == jobqueue.Running:
 		s.smu.Lock()
 		req := s.snapReqs[id]
@@ -669,9 +733,9 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.Store(true)
-		writeJSON(w, http.StatusAccepted, s.view(j, false, false))
+		s.writeView(w, http.StatusAccepted, j, false, false)
 	case errors.Is(err, jobqueue.ErrNotCancellable):
-		writeJSON(w, http.StatusOK, s.view(j, false, false))
+		s.writeView(w, http.StatusOK, j, false, false)
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
@@ -746,7 +810,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.view(j, false, false))
+	s.writeView(w, http.StatusOK, j, false, false)
 }
 
 // handleDelete cancels a job: pending jobs leave the queue immediately;
@@ -775,7 +839,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		delete(s.snapReqs, id)
 		s.smu.Unlock()
 		s.cfg.Journal.JobFinished(id, jobqueue.Cancelled, jobqueue.ErrCancelled.Error())
-		writeJSON(w, http.StatusOK, s.view(j, false, false))
+		s.writeView(w, http.StatusOK, j, false, false)
 	case errors.Is(err, jobqueue.ErrNotCancellable) && j.State() == jobqueue.Running:
 		s.imu.Lock()
 		intr := s.interrupts[id]
@@ -783,10 +847,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if intr != nil {
 			intr.Store(true)
 		}
-		writeJSON(w, http.StatusAccepted, s.view(j, false, false))
+		s.writeView(w, http.StatusAccepted, j, false, false)
 	case errors.Is(err, jobqueue.ErrNotCancellable):
 		// Already terminal; report the final state, idempotently.
-		writeJSON(w, http.StatusOK, s.view(j, false, false))
+		s.writeView(w, http.StatusOK, j, false, false)
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
@@ -919,13 +983,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	send := func(event string, v any) {
-		blob, err := json.Marshal(v)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, blob)
+	send := func(event string, data encodedView) {
+		fmt.Fprintf(w, "event: %s\ndata: ", event)
+		data.writeTo(w)
+		_, _ = io.WriteString(w, "\n\n")
 		fl.Flush()
+	}
+	progress := func(p slacksim.Progress) {
+		if data, err := json.Marshal(p); err == nil {
+			send("progress", encodedView{head: data})
+		}
+	}
+	terminal := func() {
+		if data, err := s.encodeView(j, false, false); err == nil {
+			send(j.State().String(), data)
+		}
 	}
 
 	// Subscribe before reading state so no event can slip between the
@@ -933,18 +1005,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	events, cancel := j.Subscribe(16)
 	defer cancel()
 	if p, ok := j.LastEvent().(slacksim.Progress); ok {
-		send("progress", p)
+		progress(p)
 	}
 	for {
 		select {
 		case ev, ok := <-events:
 			if !ok {
 				// Terminal: emit the final event and end the stream.
-				send(j.State().String(), s.view(j, false, false))
+				terminal()
 				return
 			}
 			if p, ok := ev.(slacksim.Progress); ok {
-				send("progress", p)
+				progress(p)
 			}
 		case <-j.Done():
 			// Drain any buffered progress, then terminate. The subscriber
@@ -953,13 +1025,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			case ev, ok := <-events:
 				if ok {
 					if p, ok := ev.(slacksim.Progress); ok {
-						send("progress", p)
+						progress(p)
 					}
 					continue
 				}
 			default:
 			}
-			send(j.State().String(), s.view(j, false, false))
+			terminal()
 			return
 		case <-r.Context().Done():
 			return
