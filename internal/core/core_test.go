@@ -268,8 +268,8 @@ func TestLockUnlockViaController(t *testing.T) {
 		b.Halt()
 	})
 	h.run(t, 5000)
-	if h.sync.Acquires != 1 || h.sync.Releases != 1 {
-		t.Errorf("lock traffic %d/%d, want 1/1", h.sync.Acquires, h.sync.Releases)
+	if sc := h.sync.Counts(); sc.Acquires != 1 || sc.Releases != 1 {
+		t.Errorf("lock traffic %d/%d, want 1/1", sc.Acquires, sc.Releases)
 	}
 	if h.sync.LocksHeld() != 0 {
 		t.Error("lock leaked")
@@ -393,4 +393,18 @@ func replyFor(req event.Request, latency int64) event.Msg {
 		NewState: coherence.GrantState(req.Kind, false),
 		TS:       req.TS + latency,
 	}
+}
+
+// copyMem and copySync deep-copy the memory image and the sync
+// controller the way a checkpoint does.
+func copyMem(m *mem.Memory) *mem.Memory {
+	c := mem.New()
+	m.SnapshotInto(c)
+	return c
+}
+
+func copySync(s *syncctl.Controller) *syncctl.Controller {
+	c := syncctl.New(0)
+	s.SnapshotInto(c)
+	return c
 }

@@ -204,7 +204,7 @@ type busState struct {
 }
 
 func (b *noisyBus) save() busState {
-	return busState{b.mem.Snapshot(), b.sync.Snapshot(), b.inQ.Snapshot(), b.outQ.Snapshot()}
+	return busState{copyMem(b.mem), copySync(b.sync), b.inQ.Snapshot(), b.outQ.Snapshot()}
 }
 
 func (b *noisyBus) load(s busState) {

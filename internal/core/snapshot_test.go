@@ -32,10 +32,10 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 		h.pump()
 	}
 	snap := h.core.Snapshot()
-	memSnap := h.mem.Snapshot()
+	memSnap := copyMem(h.mem)
 	inQSnap := h.inQ.Snapshot()
 	outQSnap := h.outQ.Snapshot()
-	syncSnap := h.sync.Snapshot()
+	syncSnap := copySync(h.sync)
 
 	h.run(t, 20000)
 	wantR4 := h.core.Reg(4)
@@ -132,7 +132,7 @@ func TestRestoreDeterministicReplay(t *testing.T) {
 		h.pump()
 	}
 	snap := h.core.Snapshot()
-	memSnap := h.mem.Snapshot()
+	memSnap := copyMem(h.mem)
 	inSnap := h.inQ.Snapshot()
 	outSnap := h.outQ.Snapshot()
 

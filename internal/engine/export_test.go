@@ -59,20 +59,14 @@ type rawWire []byte
 
 func (w rawWire) GobEncode() ([]byte, error) { return w, nil }
 
-// RewriteUncoreSnapshot decodes an exported run of a numCores-core
-// machine, passes the uncore snapshot's wire form through edit, and
-// encodes the run again with the edited bytes spliced in unchecked. Tests
-// use it to forge hostile resume payloads from real ones.
-func RewriteUncoreSnapshot(state []byte, numCores int, edit func(wire []byte) ([]byte, error)) ([]byte, error) {
+// RewriteComponent decodes an exported run of a numCores-core machine,
+// passes the wire form of the named component ("uncore", "memory" or
+// "sync") through edit, and encodes the run again with the edited bytes
+// spliced in unchecked. Tests use it to forge hostile resume payloads
+// from real ones.
+func RewriteComponent(state []byte, numCores int, name string, edit func(wire []byte) ([]byte, error)) ([]byte, error) {
 	st, err := decodeRunState(state, numCores)
 	if err != nil {
-		return nil, err
-	}
-	wire, err := st.unc.GobEncode()
-	if err != nil {
-		return nil, err
-	}
-	if wire, err = edit(wire); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
@@ -82,7 +76,14 @@ func RewriteUncoreSnapshot(state []byte, numCores int, edit func(wire []byte) ([
 	}
 	for _, c := range st.components() {
 		v := c.v
-		if c.name == "uncore" {
+		if c.name == name {
+			wire, err := v.(gob.GobEncoder).GobEncode()
+			if err != nil {
+				return nil, err
+			}
+			if wire, err = edit(wire); err != nil {
+				return nil, err
+			}
 			v = rawWire(wire)
 		}
 		if err := enc.Encode(v); err != nil {

@@ -358,6 +358,7 @@ func (g *manager) adapt() {
 func (g *manager) results(host string, wall time.Duration) Results {
 	m := g.m
 	det := m.Detector()
+	sc := m.Sync().Counts()
 	res := Results{
 		Workload: m.WorkloadName(),
 		Scheme:   g.cfg.Scheme.Name(),
@@ -382,9 +383,9 @@ func (g *manager) results(host string, wall time.Duration) Results {
 		Checkpoints:     g.ckpts,
 		CheckpointWords: g.ckptWords,
 
-		LockAcquires:    m.Sync().Acquires,
-		LockContended:   m.Sync().Contended,
-		BarrierEpisodes: m.Sync().BarrierEpisodes,
+		LockAcquires:    sc.Acquires,
+		LockContended:   sc.Contended,
+		BarrierEpisodes: sc.BarrierEpisodes,
 	}
 	for _, c := range m.cores {
 		res.PerCore = append(res.PerCore, c.Stats())

@@ -66,10 +66,11 @@ type parRun struct {
 var wedgeHook func(worker int, stop *atomic.Bool)
 
 // barrierSpins is how many polls a barrier wait makes before each further
-// poll yields the processor. Budgets from 64 to 16384 polls measured the
-// same run time (DESIGN.md §8), so the one that gives a shared host its
-// processor back soonest is used.
-const barrierSpins = 64
+// poll yields the processor. With no lock inside a round, a peer usually
+// arrives within a few microseconds: 1024 polls cover that wait where 64
+// yielded first, and 16384 gained nothing more (DESIGN.md §8), so the
+// smaller budget gives a shared host its processor back sooner.
+const barrierSpins = 1024
 
 // RunParallel simulates the machine under cfg with the goroutine host and
 // returns the results. Rollback is only available on the deterministic

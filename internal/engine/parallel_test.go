@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slacksim/internal/adaptive"
+	"slacksim/internal/mem"
 	"slacksim/internal/workload"
 )
 
@@ -37,14 +38,33 @@ func TestParallelSchemesFunctional(t *testing.T) {
 	}
 }
 
+// TestParallelLockKernel runs the lock-based kernels on the parallel
+// host under cc and s16. Their cores contend for lock words and spin on
+// barriers in the sync controller and share the memory image from every
+// worker at once, so under -race this is the check that both stay
+// correct without a mutex; the result must still verify.
 func TestParallelLockKernel(t *testing.T) {
-	w := workload.NewBarnes(16, 1)
-	m := newTestMachine(t, w, 4)
-	if _, err := RunParallel(m, RunConfig{Scheme: BoundedSlack(16)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(m.Memory()); err != nil {
-		t.Fatalf("lock-heavy kernel broke under the parallel host: %v", err)
+	for _, k := range []struct {
+		name string
+		w    interface {
+			Workload
+			Verify(*mem.Memory) error
+		}
+	}{
+		{"barnes", workload.NewBarnes(16, 1)},
+		{"water", workload.NewWater(16, 1)},
+	} {
+		for _, s := range []Scheme{CycleByCycle(), BoundedSlack(16)} {
+			t.Run(k.name+"/"+s.Name(), func(t *testing.T) {
+				m := newTestMachine(t, k.w, 4)
+				if _, err := RunParallel(m, RunConfig{Scheme: s}); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.w.Verify(m.Memory()); err != nil {
+					t.Fatalf("lock-heavy kernel broke under the parallel host: %v", err)
+				}
+			})
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"slacksim/internal/engine"
 	"slacksim/internal/event"
 	"slacksim/internal/isa"
+	"slacksim/internal/mem"
 	"slacksim/internal/service/server"
 	"slacksim/internal/spec"
 )
@@ -399,7 +400,7 @@ func editStatusMap(t *testing.T, blob []byte, mutate func(*statusMapWire)) []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := engine.RewriteUncoreSnapshot(snap.Engine, hostileSpec.Cores, func(wire []byte) ([]byte, error) {
+	state, err := engine.RewriteComponent(snap.Engine, hostileSpec.Cores, "uncore", func(wire []byte) ([]byte, error) {
 		var u uncoreWire
 		if err := gob.NewDecoder(bytes.NewReader(wire)).Decode(&u); err != nil {
 			return nil, err
@@ -459,6 +460,151 @@ func TestResumeRejectsHostileStatusMap(t *testing.T) {
 			checkForgedResume(t, editStatusMap(t, blob, tc.mutate), tc.want, &want)
 		})
 	}
+}
+
+// controllerWire, lockWire and barrierWire mirror internal/syncctl's
+// wire format.
+type controllerWire struct {
+	NumCores int
+	Locks    []lockWire
+	Barriers []barrierWire
+
+	Acquires, Releases, Contended uint64
+	BarrierEpisodes               uint64
+}
+
+type lockWire struct {
+	Addr       uint64
+	Owner      int
+	ReleasedAt int64
+}
+
+type barrierWire struct {
+	ID         int64
+	Arrived    int
+	Generation uint64
+	ReleasedAt int64
+	Waiting    []int
+}
+
+// pageWire mirrors one page of internal/mem's wire format; pageNumber
+// is the same page with its words left out, which gob reads as zeros.
+type (
+	pageWire struct {
+		PN    uint64
+		Words [mem.PageWords]uint64
+	}
+	pageNumber struct{ PN uint64 }
+)
+
+// editComponent decodes a container, passes the named component's wire
+// form, decoded into a value of type W, through mutate, and encodes the
+// container again.
+func editComponent[W any](t *testing.T, blob []byte, name string, mutate func(*W) any) []byte {
+	t.Helper()
+	snap, err := durable.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := engine.RewriteComponent(snap.Engine, hostileSpec.Cores, name, func(wire []byte) ([]byte, error) {
+		var w W
+		if err := gob.NewDecoder(bytes.NewReader(wire)).Decode(&w); err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err := gob.NewEncoder(&buf).Encode(mutate(&w))
+		return buf.Bytes(), err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := durable.EncodeSnapshot(snap.Spec, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRejectsHostileSyncAndMemory forges SLKSNAP1 payloads whose
+// sync controller or memory image breaks what the lock-free tables rely
+// on: a controller for another core count, a lock owner or barrier
+// waiter naming a core the machine lacks (the controller indexes its
+// per-core slots by them), a waiter listed twice or at two barriers (a
+// core records one last arrival), an arrival count that does not match
+// the waiters, and a memory image naming a page twice or holding more
+// than mem.MaxPages pages (checked before the decoder allocates a page). Both engine.Resume and POST /v1/resume must fail
+// naming the defect. A well-formed lock and barrier added to the
+// controller must still resume, so each rejection is the edit's doing.
+func TestResumeRejectsHostileSyncAndMemory(t *testing.T) {
+	blob, want := exportAtFirstBoundary(t)
+	ctl := func(edit func(w *controllerWire)) func(*controllerWire) any {
+		return func(w *controllerWire) any { edit(w); return w }
+	}
+	lock := func(owner int) func(w *controllerWire) {
+		return func(w *controllerWire) {
+			w.Locks = append(w.Locks, lockWire{Addr: 1 << 40, Owner: owner, ReleasedAt: 3})
+		}
+	}
+	barrier := func(arrived int, waiting ...int) func(w *controllerWire) {
+		return func(w *controllerWire) {
+			w.Barriers = append(w.Barriers, barrierWire{ID: 1 << 40, Arrived: arrived, Generation: 2, ReleasedAt: 5, Waiting: waiting})
+		}
+	}
+	syncCases := []struct {
+		name string
+		edit func(*controllerWire)
+		want string
+	}{
+		{"unedited", func(*controllerWire) {}, ""},
+		{"valid lock and barrier", func(w *controllerWire) { lock(1)(w); barrier(0)(w) }, ""},
+		{"three cores", func(w *controllerWire) { w.NumCores = 3 }, "controller for 3 cores"},
+		{"lock owned by core 2", lock(2), "held by core 2"},
+		{"lock owned by core -2", lock(-2), "held by core -2"},
+		{"lock named twice", func(w *controllerWire) { lock(0)(w); lock(-1)(w) }, "named twice"},
+		{"waiter 5", barrier(1, 5), "waiter 5 outside"},
+		{"waiter -1", barrier(1, -1), "waiter -1 outside"},
+		{"waiter listed twice", barrier(2, 0, 0), "waiting twice"},
+		{"waiter at two barriers", func(w *controllerWire) {
+			barrier(1, 0)(w)
+			w.Barriers = append(w.Barriers, barrierWire{ID: 1 << 41, Arrived: 1, Waiting: []int{0}})
+		}, "waiting twice"},
+		{"arrived without waiters", barrier(1), "1 arrived with 0 waiting"},
+		{"every core waiting", barrier(2, 0, 1), "2 arrived with 2 waiting"},
+	}
+	for _, tc := range syncCases {
+		t.Run("sync/"+tc.name, func(t *testing.T) {
+			wantRes := &want
+			if tc.name != "unedited" {
+				wantRes = nil
+			}
+			checkForgedResume(t, editComponent(t, blob, "sync", ctl(tc.edit)), tc.want, wantRes)
+		})
+	}
+
+	t.Run("memory/unedited", func(t *testing.T) {
+		forged := editComponent(t, blob, "memory", func(p *[]pageWire) any { return *p })
+		checkForgedResume(t, forged, "", &want)
+	})
+	t.Run("memory/page named twice", func(t *testing.T) {
+		forged := editComponent(t, blob, "memory", func(p *[]pageWire) any {
+			if len(*p) < 2 {
+				t.Fatalf("the image holds %d pages at the boundary; the case needs 2", len(*p))
+			}
+			(*p)[1].PN = (*p)[0].PN
+			return *p
+		})
+		checkForgedResume(t, forged, "named twice", nil)
+	})
+	t.Run("memory/over MaxPages", func(t *testing.T) {
+		forged := editComponent(t, blob, "memory", func(*[]pageNumber) any {
+			pages := make([]pageNumber, mem.MaxPages+1)
+			for i := range pages {
+				pages[i].PN = uint64(i)
+			}
+			return pages
+		})
+		checkForgedResume(t, forged, "more than", nil)
+	})
 }
 
 // TestResumeFastForwardIsInterruptible forges a payload whose pacing

@@ -1,17 +1,23 @@
 // Package mem implements the target machine's physical memory image.
 //
 // Memory is word-granular (64-bit words at 8-byte-aligned addresses) and
-// sparsely paged so that workloads can use widely-spread address regions
-// without preallocating gigabytes. All accesses are safe for concurrent use
-// by core threads in the parallel host; functional values read through a
-// lock so the simulated workload state itself can never be corrupted by
-// host races (the paper relies on the same property: workload
-// synchronization is executed reliably inside the simulator).
+// paged. Pages in the low 4 GiB sit in a two-level page table, installed
+// by compare-and-swap on first touch; words are read and written with
+// atomic loads and stores. Cores on different host CPUs thus share the
+// image without a lock, and no host race can tear a word of workload
+// state (the paper relies on the same property: workload synchronization
+// is executed reliably inside the simulator). Pages above that range,
+// which traces and synthetic workloads may touch, go to a sparse map.
+// Whole-image operations (SnapshotInto, Restore, Reset, Equal, the wire
+// format) run only at quiescent points.
 package mem
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -20,58 +26,41 @@ const (
 	// pageShift converts a word index to a page number.
 	pageShift = 9
 	pageMask  = PageWords - 1
-	numShards = 16
+	// leafBits sizes a leaf: 1024 page slots, 4 MiB of target memory.
+	leafBits = 10
+	leafMask = 1<<leafBits - 1
+	// densePages is the page table's range in pages: the low 4 GiB.
+	densePages = 1 << 20
 )
 
 type page [PageWords]uint64
 
-type shard struct {
-	mu    sync.RWMutex
-	pages map[uint64]*page
-	// free parks zeroed pages released by rollback deletion or Reset, so
-	// page churn recycles instead of allocating; guarded by mu (or by
-	// exclusive ownership of the Memory, e.g. a manager-private snapshot).
-	free []*page
+// leaf is one second-level table: a slot per page and a bit per
+// allocated page. Restore and Reset take a page out by zeroing it and
+// clearing its bit; it stays in its slot (reading as zeros) for the next
+// write to reuse, and whole-image operations visit marked pages alone.
+type leaf struct {
+	pages [1 << leafBits]atomic.Pointer[page]
+	used  [1 << leafBits / 64]atomic.Uint64
 }
 
-// getPage pops a recycled (already zeroed) page or allocates a fresh one.
-// The caller holds sh.mu or owns the Memory exclusively.
-//
-//slacksim:hotpath
-//slacksim:pooled
-func (sh *shard) getPage() *page {
-	if n := len(sh.free); n > 0 { //lint:allow guardedby -- locking contract: every caller holds sh.mu or owns the Memory exclusively
-		p := sh.free[n-1]       //lint:allow guardedby -- see above
-		sh.free[n-1] = nil      //lint:allow guardedby -- see above
-		sh.free = sh.free[:n-1] //lint:allow guardedby -- see above
-		return p
-	}
-	return new(page) //lint:allow hotpathalloc -- pool warm-up: runs only while the page free list is empty
-}
-
-// putPage zeroes p and parks it on the free list. Same locking contract
-// as getPage. Zeroing happens here, off the Write fast path, so a
-// recycled page reads as zero exactly like a fresh one.
-//
-//slacksim:hotpath
-func (sh *shard) putPage(p *page) {
-	*p = page{}
-	sh.free = append(sh.free, p) //lint:allow hotpathalloc,guardedby -- free-list growth is bounded by the high-water page count, then reused; caller holds sh.mu per the locking contract
-}
-
-// Memory is a sparse, sharded target memory image.
+// Memory is a paged target memory image.
 type Memory struct {
-	shards [numShards]shard
+	dir  [densePages >> leafBits]atomic.Pointer[leaf]
+	n    atomic.Int64 // allocated pages
+	list []entry      // scratch for whole-image operations
+
+	mu     sync.Mutex
+	sparse map[uint64]*page // guarded by mu; pages above the dense range
+}
+
+type entry struct {
+	pn uint64
+	p  *page
 }
 
 // New returns an empty memory image.
-func New() *Memory {
-	m := &Memory{}
-	for i := range m.shards {
-		m.shards[i].pages = make(map[uint64]*page)
-	}
-	return m
-}
+func New() *Memory { return &Memory{sparse: make(map[uint64]*page)} }
 
 func split(addr uint64) (pn, off uint64) {
 	if addr&7 != 0 {
@@ -81,145 +70,169 @@ func split(addr uint64) (pn, off uint64) {
 	return w >> pageShift, w & pageMask
 }
 
-func (m *Memory) shardFor(pn uint64) *shard { return &m.shards[pn%numShards] }
+func newPage() *page {
+	return new(page) //lint:allow hotpathalloc -- first write to a page number new to the image; pages taken out stay in their slots for reuse
+}
+
+// pageAt returns page pn, or nil when it has none. With create it installs
+// the page and marks it allocated; of two cores first writing a page at
+// once, the loser of the compare-and-swap adopts the winner's page.
+// Without create a dense page may be one taken out, reading as zeros.
+func (m *Memory) pageAt(pn uint64, create bool) *page {
+	if pn >= densePages {
+		m.mu.Lock()
+		p := m.sparse[pn]
+		if p == nil && create {
+			p = newPage()
+			m.sparse[pn] = p
+			m.n.Add(1)
+		}
+		m.mu.Unlock()
+		return p
+	}
+	d := &m.dir[pn>>leafBits]
+	l := d.Load()
+	if l == nil {
+		if !create {
+			return nil
+		}
+		d.CompareAndSwap(nil, new(leaf)) //lint:allow hotpathalloc -- one leaf per 4 MiB region, kept for the image's life
+		l = d.Load()
+	}
+	slot := &l.pages[pn&leafMask]
+	p := slot.Load()
+	if !create {
+		return p
+	}
+	if p == nil {
+		slot.CompareAndSwap(nil, newPage())
+		p = slot.Load()
+	}
+	w, bit := &l.used[pn&leafMask>>6], uint64(1)<<(pn&63)
+	for old := w.Load(); old&bit == 0; old = w.Load() {
+		if w.CompareAndSwap(old, old|bit) {
+			m.n.Add(1)
+			break
+		}
+	}
+	return p
+}
+
+// has reports whether page pn is allocated.
+func (m *Memory) has(pn uint64) bool {
+	if pn >= densePages {
+		return m.pageAt(pn, false) != nil
+	}
+	l := m.dir[pn>>leafBits].Load()
+	return l != nil && l.used[pn&leafMask>>6].Load()&(1<<(pn&63)) != 0
+}
+
+// pages lists the allocated pages, the dense ones first and in
+// page-number order, in a scratch slice that the next call reuses.
+func (m *Memory) pages() []entry {
+	m.list = m.list[:0]
+	for i := range m.dir {
+		l := m.dir[i].Load()
+		for w := 0; l != nil && w < len(l.used); w++ {
+			for b := l.used[w].Load(); b != 0; b &= b - 1 {
+				j := w<<6 | bits.TrailingZeros64(b)
+				m.list = append(m.list, entry{uint64(i)<<leafBits | uint64(j), l.pages[j].Load()})
+			}
+		}
+	}
+	m.mu.Lock()
+	for pn, p := range m.sparse {
+		m.list = append(m.list, entry{pn, p})
+	}
+	m.mu.Unlock()
+	return m.list
+}
+
+// drop takes page e out of the image: a dense page is zeroed and
+// unmarked, a sparse one dropped.
+func (m *Memory) drop(e entry) {
+	m.n.Add(-1)
+	if e.pn >= densePages {
+		m.mu.Lock()
+		delete(m.sparse, e.pn)
+		m.mu.Unlock()
+		return
+	}
+	*e.p = page{}
+	w := &m.dir[e.pn>>leafBits].Load().used[e.pn&leafMask>>6]
+	w.Store(w.Load() &^ (1 << (e.pn & 63)))
+}
 
 // Read returns the 64-bit word at the 8-byte-aligned address addr.
 // Unallocated memory reads as zero.
 func (m *Memory) Read(addr uint64) uint64 {
 	pn, off := split(addr)
-	sh := m.shardFor(pn)
-	sh.mu.RLock()
-	p := sh.pages[pn]
-	var v uint64
-	if p != nil {
-		v = p[off]
+	if p := m.pageAt(pn, false); p != nil {
+		return atomic.LoadUint64(&p[off])
 	}
-	sh.mu.RUnlock()
-	return v
+	return 0
 }
 
 // Write stores the 64-bit word v at the 8-byte-aligned address addr.
 func (m *Memory) Write(addr uint64, v uint64) {
 	pn, off := split(addr)
-	sh := m.shardFor(pn)
-	sh.mu.Lock()
-	p := sh.pages[pn]
-	if p == nil {
-		p = sh.getPage()
-		sh.pages[pn] = p
-	}
-	p[off] = v
-	sh.mu.Unlock()
+	atomic.StoreUint64(&m.pageAt(pn, true)[off], v)
 }
 
 // ReadFloat reads the word at addr and reinterprets it as float64.
 func (m *Memory) ReadFloat(addr uint64) float64 {
-	return f64(m.Read(addr))
+	return math.Float64frombits(m.Read(addr))
 }
 
 // WriteFloat stores float64 f's bit pattern at addr.
 func (m *Memory) WriteFloat(addr uint64, f float64) {
-	m.Write(addr, u64(f))
+	m.Write(addr, math.Float64bits(f))
 }
 
-// Snapshot returns a deep copy of the memory image. It is the memory's
-// contribution to a simulation checkpoint.
-func (m *Memory) Snapshot() *Memory {
-	c := New()
-	m.SnapshotInto(c)
-	return c
-}
-
-// SnapshotInto deep-copies the memory image into dst, reusing dst's page
-// maps and recycled pages — the pooled-snapshot-graph variant of
-// Snapshot.
+// SnapshotInto deep-copies the memory image into dst, reusing its pages.
 func (m *Memory) SnapshotInto(dst *Memory) {
 	dst.Restore(m)
 }
 
-// Restore overwrites this memory with the snapshot's contents, reusing
-// the existing page maps and page allocations.
+// Restore overwrites this memory with the snapshot's contents in place.
 func (m *Memory) Restore(snap *Memory) {
-	for i := range m.shards {
-		src := &snap.shards[i]
-		dst := &m.shards[i]
-		src.mu.RLock()
-		dst.mu.Lock()
-		for pn, p := range dst.pages {
-			if src.pages[pn] == nil {
-				delete(dst.pages, pn)
-				dst.putPage(p)
-			}
+	for _, e := range m.pages() {
+		if !snap.has(e.pn) {
+			m.drop(e)
 		}
-		for pn, p := range src.pages {
-			q := dst.pages[pn]
-			if q == nil {
-				q = dst.getPage()
-				dst.pages[pn] = q
-			}
-			*q = *p
-		}
-		dst.mu.Unlock()
-		src.mu.RUnlock()
+	}
+	for _, e := range snap.pages() {
+		*m.pageAt(e.pn, true) = *e.p
 	}
 }
 
-// Reset returns the memory to its freshly-constructed (empty) state,
-// recycling every page through the shard free lists. Used when a pooled
+// Reset empties the memory, keeping its pages for reuse, when a pooled
 // machine is recycled for a new run.
 func (m *Memory) Reset() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, p := range sh.pages {
-			sh.putPage(p)
-		}
-		clear(sh.pages)
-		sh.mu.Unlock()
+	for _, e := range m.pages() {
+		m.drop(e)
 	}
 }
 
 // AllocatedWords reports how many words of backing store are allocated
 // (used by the checkpoint cost model).
 func (m *Memory) AllocatedWords() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		n += len(sh.pages) * PageWords
-		sh.mu.RUnlock()
-	}
-	return n
+	return int(m.n.Load()) * PageWords
 }
 
 // Equal reports whether two memory images hold identical contents
 // (unallocated pages compare equal to zero pages).
 func (m *Memory) Equal(o *Memory) bool {
-	zero := page{}
-	check := func(a, b *Memory) bool {
-		for i := range a.shards {
-			sa := &a.shards[i]
-			sb := &b.shards[i]
-			sa.mu.RLock()
-			sb.mu.RLock()
-			ok := true
-			for pn, p := range sa.pages {
-				q := sb.pages[pn]
-				if q == nil {
-					q = &zero
-				}
-				if *p != *q {
-					ok = false
-					break
-				}
-			}
-			sb.mu.RUnlock()
-			sa.mu.RUnlock()
-			if !ok {
-				return false
-			}
+	return m.within(o) && o.within(m)
+}
+
+// within reports whether every page of m equals o's page of the same
+// number, an absent page reading as zeros.
+func (m *Memory) within(o *Memory) bool {
+	for _, e := range m.pages() {
+		if q := o.pageAt(e.pn, false); q == nil && *e.p != (page{}) || q != nil && *q != *e.p {
+			return false
 		}
-		return true
 	}
-	return check(m, o) && check(o, m)
+	return true
 }

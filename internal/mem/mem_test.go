@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"sync"
 	"testing"
@@ -124,25 +126,47 @@ func TestAllocatedWords(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess has goroutines first-touch the same pages at
+// once, dense and sparse, each writing its own words. Every write must
+// read back, and AllocatedWords must count each page once however many
+// goroutines raced to install it.
 func TestConcurrentAccess(t *testing.T) {
+	const workers, pages = 8, 64
 	m := New()
+	base := func(p int) uint64 {
+		if p%8 == 7 {
+			return 5<<32 + uint64(p)*PageWords*8 // above the dense range
+		}
+		return uint64(p) * PageWords * 8
+	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			base := uint64(g) * 0x10000
-			for i := 0; i < 200; i++ {
-				addr := base + uint64(i)*8
-				m.Write(addr, uint64(g*1000+i))
-				if got := m.Read(addr); got != uint64(g*1000+i) {
-					t.Errorf("goroutine %d readback mismatch", g)
-					return
+			<-start
+			for p := 0; p < pages; p++ {
+				addr := base(p) + uint64(g)*8
+				m.Write(addr, uint64(p<<8|g))
+				if got := m.Read(addr); got != uint64(p<<8|g) {
+					t.Errorf("goroutine %d page %d: read %d back", g, p, got)
 				}
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
+	for p := 0; p < pages; p++ {
+		for g := 0; g < workers; g++ {
+			if got := m.Read(base(p) + uint64(g)*8); got != uint64(p<<8|g) {
+				t.Errorf("page %d word %d = %d after the race", p, g, got)
+			}
+		}
+	}
+	if got := m.AllocatedWords(); got != pages*PageWords {
+		t.Errorf("AllocatedWords = %d, want %d", got, pages*PageWords)
+	}
 }
 
 // Property: a batch of random writes reads back exactly (last write per
@@ -190,5 +214,53 @@ func TestQuickSnapshotRestore(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSparsePages covers pages above the dense range: they read back,
+// count as allocated, and go through Snapshot, Restore, Equal, Reset and
+// the wire format like dense ones.
+func TestSparsePages(t *testing.T) {
+	const hi = 7 << 40
+	m := New()
+	m.Write(hi, 1)
+	m.Write(0x2000, 2)
+	snap := m.Snapshot()
+	m.Write(hi+PageWords*8, 3)
+	if m.Read(hi) != 1 || m.AllocatedWords() != 3*PageWords {
+		t.Fatalf("sparse page read %d, %d words allocated", m.Read(hi), m.AllocatedWords())
+	}
+	m.Restore(snap)
+	if !m.Equal(snap) || m.Read(hi+PageWords*8) != 0 || m.AllocatedWords() != 2*PageWords {
+		t.Fatal("restore kept a later sparse page")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	got := New()
+	if err := gob.NewDecoder(&buf).Decode(got); err != nil || !got.Equal(m) || got.AllocatedWords() != m.AllocatedWords() {
+		t.Fatalf("sparse page lost on the wire: %v", err)
+	}
+	m.Reset()
+	if m.AllocatedWords() != 0 || m.Read(hi) != 0 {
+		t.Fatal("Reset kept a sparse page")
+	}
+}
+
+// TestRestoreAllocatesNothing: after warm-up a checkpoint copy and a
+// rollback reuse the pages already in their slots.
+func TestRestoreAllocatesNothing(t *testing.T) {
+	live, ckpt := New(), New()
+	for i := uint64(0); i < 64; i++ {
+		live.Write(i*PageWords*8*3, i)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		live.SnapshotInto(ckpt)
+		live.Write(1<<30, 1) // a page first touched after the checkpoint
+		live.Restore(ckpt)   // takes it out again, keeping it in its slot
+	})
+	if allocs != 0 {
+		t.Errorf("checkpoint and rollback allocate %.1f times", allocs)
 	}
 }

@@ -8,11 +8,24 @@
 // Timing is still modeled by the cores: a core that fails to acquire a
 // lock or waits at a barrier keeps spinning in *target* time, so its local
 // clock always advances and the slack time protocol stays live.
+//
+// Cores on different host CPUs share the controller without a lock: lock
+// and barrier states are atomics in flat insert-only tables, and what
+// only one core writes sits in that core's slot. SnapshotInto, Restore, Reset
+// and the wire format run only at quiescent points.
 package syncctl
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+)
+
+// Table sizes, and the slots a key probes before the sparse map.
+const (
+	lockSlots    = 1 << 12
+	barrierSlots = 1 << 4
+	probes       = 8
 )
 
 // Controller holds the functional state of every lock word and barrier.
@@ -22,45 +35,45 @@ import (
 // cycle-by-cycle simulation independent of the order in which the host
 // executes cores within one target cycle.
 type Controller struct {
-	mu       sync.Mutex
-	numCores int
+	locks    table[lockState]
+	barriers table[barrier]
+	cores    []coreSlot
+}
 
-	// locks maps lock-word address -> lock state.
-	locks map[uint64]*lockState
+// lockState is one lock word: its owner plus one (0 when free) and the
+// simulated time of its last release plus one (0 before the first), so
+// the zero value is a free lock never released.
+type lockState struct{ owner, released atomic.Int64 }
 
-	// barriers maps barrier id -> state.
-	barriers map[int64]*barrier
+// barrier is one barrier: how many cores wait in the current generation
+// and the simulated time that released the previous one, plus one.
+type barrier struct {
+	arrived, released atomic.Int64
+	gen               atomic.Uint64
+}
 
-	// Acquires, Releases, Contended count lock traffic; BarrierEpisodes
-	// counts completed barrier generations.
+// Counts is the controller's traffic: lock acquisitions, releases and
+// failed attempts, and completed barrier generations.
+type Counts struct {
 	Acquires, Releases, Contended uint64
 	BarrierEpisodes               uint64
 }
 
-type lockState struct {
-	owner int // -1 when free
-	// releasedAt is the simulated time of the last release; a TryLock at
-	// a time <= releasedAt fails (the release is not visible yet).
-	releasedAt int64
-}
-
-type barrier struct {
-	arrived    int
-	generation uint64
-	// releasedAt is the simulated time at which the current generation
-	// was released; waiters pass only strictly after it.
-	releasedAt int64
-	waiting    map[int]bool // cores currently parked in this generation
+// coreSlot holds what only one core writes: its counts and its last
+// barrier arrival, which makes it a waiter until that generation is
+// released. It is padded to a cache line's length.
+type coreSlot struct {
+	Counts
+	arrived bool
+	id      int64
+	gen     uint64
+	_       [8]byte
 }
 
 // New returns a controller for a machine with numCores participating
 // hardware threads. Every barrier involves all numCores threads.
 func New(numCores int) *Controller {
-	return &Controller{
-		numCores: numCores,
-		locks:    make(map[uint64]*lockState),
-		barriers: make(map[int64]*barrier),
-	}
+	return &Controller{newTable[lockState](lockSlots), newTable[barrier](barrierSlots), make([]coreSlot, numCores)}
 }
 
 // TryLock attempts to acquire the lock word at addr for core at simulated
@@ -69,86 +82,59 @@ func New(numCores int) *Controller {
 // the core already owns panics: the workload kernels never do it and
 // silence would hide kernel bugs.
 func (c *Controller) TryLock(addr uint64, core int, now int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.locks[addr]
-	if l == nil {
-		l = &lockState{owner: -1, releasedAt: -1}
-		c.locks[addr] = l
+	l, me := c.locks.find(addr, true), &c.cores[core]
+	o := l.owner.Load()
+	if o == int64(core)+1 {
+		panic(fmt.Sprintf("syncctl: core %d re-acquires lock %#x it already holds", core, addr))
 	}
-	if l.owner >= 0 {
-		if l.owner == core {
-			panic(fmt.Sprintf("syncctl: core %d re-acquires lock %#x it already holds", core, addr))
-		}
-		c.Contended++
+	// Same-cycle handoff is blocked (one cycle of propagation), which
+	// keeps cycle-by-cycle simulation independent of host execution
+	// order. An acquirer whose clock is *behind* the release time may
+	// proceed: under slack the clocks are incomparable and forbidding it
+	// would impose a causality barrier the real SlackSim does not have
+	// (it would also hide the migratory-sharing reorderings that produce
+	// the paper's map violations). Unlock stores the release time before
+	// it frees the owner, so a free owner is never seen with a stale time.
+	if o != 0 || now+1 == l.released.Load() || !l.owner.CompareAndSwap(0, int64(core)+1) {
+		me.Contended++
 		return false
 	}
-	if now == l.releasedAt {
-		// Same-cycle handoff is blocked (one cycle of propagation), which
-		// keeps cycle-by-cycle simulation independent of host execution
-		// order. An acquirer whose clock is *behind* the release time may
-		// proceed: under slack the clocks are incomparable and forbidding
-		// it would impose a causality barrier the real SlackSim does not
-		// have (it would also hide the migratory-sharing reorderings that
-		// produce the paper's map violations).
-		c.Contended++
-		return false
-	}
-	l.owner = core
-	c.Acquires++
+	me.Acquires++
 	return true
 }
 
 // Unlock releases the lock word at addr at simulated time now. Releasing a
 // lock the core does not own panics (workload bug).
 func (c *Controller) Unlock(addr uint64, core int, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.locks[addr]
-	if l == nil || l.owner != core {
+	l := c.locks.find(addr, false)
+	if l == nil || l.owner.Load() != int64(core)+1 {
 		panic(fmt.Sprintf("syncctl: core %d releases lock %#x it does not hold", core, addr))
 	}
-	l.owner = -1
-	if now > l.releasedAt {
-		l.releasedAt = now
+	if now+1 > l.released.Load() {
+		l.released.Store(now + 1)
 	}
-	c.Releases++
-}
-
-// HeldBy returns the core owning the lock at addr, or -1.
-func (c *Controller) HeldBy(addr uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l := c.locks[addr]; l != nil {
-		return l.owner
-	}
-	return -1
+	l.owner.Store(0)
+	c.cores[core].Releases++
 }
 
 // BarrierArrive registers core's arrival at barrier id at simulated time
 // now and returns the generation the core is waiting for. The last arrival
-// releases the barrier, visible to waiters strictly after now. Arriving
-// twice in the same generation panics.
+// releases the barrier, visible to waiters strictly after now: it resets
+// the count and stamps the release time before it moves the generation
+// on, so a waiter that sees the new generation sees the time too.
+// Arriving twice in the same generation panics.
 func (c *Controller) BarrierArrive(id int64, core int, now int64) (generation uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.barriers[id]
-	if b == nil {
-		b = &barrier{waiting: make(map[int]bool), releasedAt: -1}
-		c.barriers[id] = b
+	b, me := c.barriers.find(uint64(id), true), &c.cores[core]
+	gen := b.gen.Load()
+	if me.arrived && me.id == id && me.gen == gen {
+		panic(fmt.Sprintf("syncctl: core %d arrives twice at barrier %d generation %d", core, id, gen))
 	}
-	if b.waiting[core] {
-		panic(fmt.Sprintf("syncctl: core %d arrives twice at barrier %d generation %d", core, id, b.generation))
-	}
-	gen := b.generation
-	b.waiting[core] = true
-	b.arrived++
-	if b.arrived >= c.numCores {
-		b.generation++
-		b.arrived = 0
-		clear(b.waiting)
-		b.releasedAt = now
-		c.BarrierEpisodes++
+	me.arrived, me.id, me.gen = true, id, gen
+	if b.arrived.Add(1) >= int64(len(c.cores)) {
+		b.arrived.Store(0)
+		b.released.Store(now + 1)
+		b.gen.Add(1)
+		me.BarrierEpisodes++
 	}
 	return gen
 }
@@ -161,160 +147,133 @@ func (c *Controller) BarrierArrive(id int64, core int, now int64) (generation ui
 // release time passes — under slack that is a tolerated simulated-time
 // distortion, not a wait.
 func (c *Controller) BarrierPassed(id int64, generation uint64, now int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.barriers[id]
-	if b == nil || b.generation <= generation {
+	b := c.barriers.find(uint64(id), false)
+	if b == nil {
 		return false
 	}
-	if b.generation == generation+1 {
-		return now != b.releasedAt
-	}
-	return true
-}
-
-// WaitingAt returns how many cores are parked at barrier id right now.
-func (c *Controller) WaitingAt(id int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b := c.barriers[id]; b != nil {
-		return b.arrived
-	}
-	return 0
+	g := b.gen.Load()
+	return g > generation && (g != generation+1 || now+1 != b.released.Load())
 }
 
 // LocksHeld returns the number of currently-held locks.
-func (c *Controller) LocksHeld() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, l := range c.locks {
-		if l.owner >= 0 {
+func (c *Controller) LocksHeld() (n int) {
+	c.locks.each(func(_ uint64, l *lockState) {
+		if l.owner.Load() != 0 {
 			n++
 		}
-	}
+	})
 	return n
 }
 
-func copyBarrier(b *barrier) *barrier {
-	w := make(map[int]bool, len(b.waiting))
-	for k, v := range b.waiting {
-		w[k] = v
+// Counts sums the per-core counts.
+func (c *Controller) Counts() (t Counts) {
+	for _, s := range c.cores {
+		t.Acquires, t.Releases = t.Acquires+s.Acquires, t.Releases+s.Releases
+		t.Contended, t.BarrierEpisodes = t.Contended+s.Contended, t.BarrierEpisodes+s.BarrierEpisodes
 	}
-	return &barrier{arrived: b.arrived, generation: b.generation, releasedAt: b.releasedAt, waiting: w}
-}
-
-// Snapshot deep-copies the controller.
-func (c *Controller) Snapshot() *Controller {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := New(c.numCores)
-	for a, l := range c.locks {
-		cp := *l
-		n.locks[a] = &cp
-	}
-	for id, b := range c.barriers {
-		n.barriers[id] = copyBarrier(b)
-	}
-	n.Acquires, n.Releases, n.Contended, n.BarrierEpisodes =
-		c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes
-	return n
+	return t
 }
 
 // SnapshotInto deep-copies the controller into dst, a controller built
-// with New or Snapshot, reusing dst's maps and entries — the
-// pooled-snapshot-graph variant of Snapshot and the mirror image of
-// Restore. It walks every lock and barrier and deletes stale entries, so
-// dst ends an exact copy. dst is owned by the checkpointing goroutine, so
-// only the live controller is locked.
+// with New for any core count.
 //
 //slacksim:hotpath
 func (c *Controller) SnapshotInto(dst *Controller) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dst.numCores = c.numCores
-	for a := range dst.locks {
-		if c.locks[a] == nil {
-			delete(dst.locks, a)
-		}
-	}
-	for a, l := range c.locks {
-		e := dst.locks[a]
-		if e == nil {
-			e = &lockState{} //lint:allow hotpathalloc -- lock population is tiny and stable; entries are reused across boundaries
-			dst.locks[a] = e
-		}
-		*e = *l
-	}
-	for id := range dst.barriers {
-		if c.barriers[id] == nil {
-			delete(dst.barriers, id)
-		}
-	}
-	for id, b := range c.barriers {
-		e := dst.barriers[id]
-		if e == nil {
-			e = &barrier{waiting: make(map[int]bool, len(b.waiting))} //lint:allow hotpathalloc -- barrier population is tiny and stable; entries are reused across boundaries
-			dst.barriers[id] = e
-		}
-		e.arrived, e.generation, e.releasedAt = b.arrived, b.generation, b.releasedAt
-		clear(e.waiting)
-		for k, v := range b.waiting {
-			e.waiting[k] = v
-		}
-	}
-	dst.Acquires, dst.Releases, dst.Contended, dst.BarrierEpisodes =
-		c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes
+	dst.Restore(c)
 }
 
-// Reset returns the controller to its freshly-constructed state (same
-// core count), dropping all lock and barrier state. Used when a pooled
-// machine is recycled for a new run.
+// Reset returns the controller to its freshly-constructed state, for a
+// pooled machine's next run.
 func (c *Controller) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.locks)
-	clear(c.barriers)
-	c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes = 0, 0, 0, 0
+	clear(c.cores)
+	c.locks.copyFrom(nil)
+	c.barriers.copyFrom(nil)
 }
 
-// Restore overwrites the controller from a snapshot, reusing the live
-// maps and entry allocations (lock and barrier populations are tiny and
-// stable, so a restore in the rollback hot path allocates almost nothing).
+// Restore overwrites the controller from a snapshot in place.
 func (c *Controller) Restore(snap *Controller) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.numCores = snap.numCores
-	for a := range c.locks {
-		if snap.locks[a] == nil {
-			delete(c.locks, a)
+	c.cores = append(c.cores[:0], snap.cores...)
+	c.locks.copyFrom(&snap.locks)
+	c.barriers.copyFrom(&snap.barriers)
+}
+
+// table is an insert-only hash table from keys to entries, safe for
+// concurrent use. A key claims a slot by compare-and-swap on the slot's
+// key word; the zero entry is every entry's initial state, so a claimed
+// entry is ready at once. A key that finds its probe window full, or the
+// one key with no slot encoding (all ones), goes to the sparse map.
+type table[E any] struct {
+	keys []atomic.Uint64 // key plus one; zero marks a free slot
+	vals []E
+
+	mu     sync.Mutex
+	sparse map[uint64]*E // guarded by mu
+}
+
+func newTable[E any](slots int) table[E] {
+	return table[E]{keys: make([]atomic.Uint64, slots), vals: make([]E, slots), sparse: make(map[uint64]*E)}
+}
+
+// newEntry allocates an entry of the sparse map.
+func newEntry[E any]() *E {
+	return new(E) //lint:allow hotpathalloc -- only keys that overflow the table, one allocation per key
+}
+
+// find returns key's entry, or nil when it has none and insert is false.
+func (t *table[E]) find(key uint64, insert bool) *E {
+	if k := key + 1; k != 0 {
+		mask := uint64(len(t.keys) - 1)
+		i := k * 0x9E3779B97F4A7C15 >> 32 & mask
+		for n := 0; n < probes; n, i = n+1, (i+1)&mask {
+			s := t.keys[i].Load()
+			if s == 0 && !insert {
+				return nil
+			}
+			if s == k || s == 0 && (t.keys[i].CompareAndSwap(0, k) || t.keys[i].Load() == k) {
+				return &t.vals[i]
+			}
 		}
 	}
-	for a, l := range snap.locks {
-		e := c.locks[a]
-		if e == nil {
-			e = &lockState{} //lint:allow hotpathalloc -- lock population is tiny and stable; entries are reused across boundaries
-			c.locks[a] = e
-		}
-		*e = *l
+	t.mu.Lock()
+	e := t.sparse[key]
+	if e == nil && insert {
+		e = newEntry[E]()
+		t.sparse[key] = e
 	}
-	for id := range c.barriers {
-		if snap.barriers[id] == nil {
-			delete(c.barriers, id)
-		}
-	}
-	for id, b := range snap.barriers {
-		e := c.barriers[id]
-		if e == nil {
-			e = &barrier{waiting: make(map[int]bool, len(b.waiting))} //lint:allow hotpathalloc -- barrier population is tiny and stable; entries are reused across boundaries
-			c.barriers[id] = e
-		}
-		e.arrived, e.generation, e.releasedAt = b.arrived, b.generation, b.releasedAt
-		clear(e.waiting)
-		for k, v := range b.waiting {
-			e.waiting[k] = v
+	t.mu.Unlock()
+	return e
+}
+
+// each calls fn on every entry.
+func (t *table[E]) each(fn func(key uint64, e *E)) {
+	for i := range t.keys {
+		if k := t.keys[i].Load(); k != 0 {
+			fn(k-1, &t.vals[i])
 		}
 	}
-	c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes =
-		snap.Acquires, snap.Releases, snap.Contended, snap.BarrierEpisodes
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k, e := range t.sparse {
+		fn(k, e)
+	}
+}
+
+// copyFrom makes t an exact copy of s, or empties it when s is nil.
+func (t *table[E]) copyFrom(s *table[E]) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.sparse)
+	if s == nil {
+		clear(t.keys)
+		clear(t.vals)
+		return
+	}
+	copy(t.keys, s.keys)
+	copy(t.vals, s.vals)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, e := range s.sparse {
+		t.sparse[k] = newEntry[E]()
+		*t.sparse[k] = *e
+	}
 }

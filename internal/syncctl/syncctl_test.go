@@ -1,7 +1,11 @@
 package syncctl
 
 import (
+	"bytes"
+	"encoding/gob"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -23,8 +27,8 @@ func TestLockBasics(t *testing.T) {
 	if !c.TryLock(0x10, 1, 4) {
 		t.Fatal("released lock refused")
 	}
-	if c.Acquires != 2 || c.Releases != 1 || c.Contended != 1 {
-		t.Errorf("stats %d/%d/%d", c.Acquires, c.Releases, c.Contended)
+	if n := c.Counts(); n.Acquires != 2 || n.Releases != 1 || n.Contended != 1 {
+		t.Errorf("stats %d/%d/%d", n.Acquires, n.Releases, n.Contended)
 	}
 	if c.LocksHeld() != 1 {
 		t.Errorf("LocksHeld = %d", c.LocksHeld())
@@ -96,8 +100,8 @@ func TestBarrierGenerations(t *testing.T) {
 	if !c.BarrierPassed(0, g0, 21) {
 		t.Fatal("barrier not released after all arrived")
 	}
-	if c.BarrierEpisodes != 1 {
-		t.Errorf("episodes = %d", c.BarrierEpisodes)
+	if n := c.Counts().BarrierEpisodes; n != 1 {
+		t.Errorf("episodes = %d", n)
 	}
 	// Next generation starts fresh.
 	g2 := c.BarrierArrive(0, 0, 30)
@@ -162,28 +166,138 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestConcurrentLocking races cores for a few lock words, one of them in
+// the sparse map. At most one core may be inside a lock at a time (a
+// plain counter guarded only by the lock would race under -race
+// otherwise), and the summed per-core counters must match what the
+// cores saw: one acquire and one release per granted attempt, one
+// contended count per refused one.
 func TestConcurrentLocking(t *testing.T) {
-	c := New(8)
-	var held sync.Map
+	const cores, tries = 8, 400
+	addrs := []uint64{0xA0, 0xE0, ^uint64(0)}
+	c := New(cores)
+	var inside [3]atomic.Int32
+	var guarded [3]int
+	var granted atomic.Uint64
 	var wg sync.WaitGroup
-	for core := 0; core < 8; core++ {
+	for core := 0; core < cores; core++ {
 		wg.Add(1)
 		go func(core int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < tries; i++ {
+				k := (core + i) % len(addrs)
 				now := int64(core*1000 + i*2)
-				if c.TryLock(0xA0, core, now) {
-					if _, loaded := held.LoadOrStore("l", core); loaded {
-						t.Errorf("two cores inside the lock")
-					}
-					held.Delete("l")
-					c.Unlock(0xA0, core, now)
+				if !c.TryLock(addrs[k], core, now) {
+					continue
 				}
+				granted.Add(1)
+				if n := inside[k].Add(1); n != 1 {
+					t.Errorf("%d cores inside lock %#x", n, addrs[k])
+				}
+				guarded[k]++
+				inside[k].Add(-1)
+				c.Unlock(addrs[k], core, now)
 			}
 		}(core)
 	}
 	wg.Wait()
 	if c.LocksHeld() != 0 {
 		t.Errorf("locks leaked: %d", c.LocksHeld())
+	}
+	n, g := c.Counts(), granted.Load()
+	if n.Acquires != g || n.Releases != g || n.Acquires+n.Contended != cores*tries {
+		t.Errorf("counts %+v, want %d acquires and releases of %d attempts", n, g, cores*tries)
+	}
+	if sum := uint64(guarded[0] + guarded[1] + guarded[2]); sum != g {
+		t.Errorf("guarded counters sum to %d, want %d", sum, g)
+	}
+}
+
+// TestConcurrentBarrierGenerations has every core arrive and poll across
+// many generations of one or two barriers, used in turn. No core may pass
+// a generation before every core arrived in it, each arrival must report
+// the generation count so far, and the episodes must add up. The
+// two-core row reuses one barrier with tight polling, so a release that
+// moved the generation on before resetting the arrival count would lose
+// a fast waiter's next arrival.
+func TestConcurrentBarrierGenerations(t *testing.T) {
+	for _, tc := range []struct{ cores, gens, barriers int }{{6, 300, 2}, {2, 20000, 1}} {
+		c := New(tc.cores)
+		arrivals := [2][]atomic.Int32{make([]atomic.Int32, tc.gens), make([]atomic.Int32, tc.gens)}
+		var wg sync.WaitGroup
+		for core := 0; core < tc.cores; core++ {
+			wg.Add(1)
+			go func(core int) {
+				defer wg.Done()
+				now := int64(0)
+				for k := 0; k < tc.gens; k++ {
+					id, g := int64(k%tc.barriers), k/tc.barriers
+					arrivals[id][g].Add(1)
+					gen := c.BarrierArrive(id, core, now)
+					if gen != uint64(g) {
+						t.Errorf("%d cores: core %d arrival %d at barrier %d got generation %d", tc.cores, core, k, id, gen)
+						return
+					}
+					for spins := 0; !c.BarrierPassed(id, gen, now); spins++ {
+						if spins > 1<<24 {
+							t.Errorf("%d cores: core %d never passed barrier %d generation %d", tc.cores, core, id, gen)
+							return
+						}
+						if now++; spins%64 == 63 {
+							runtime.Gosched()
+						}
+					}
+					if n := arrivals[id][g].Load(); n != int32(tc.cores) {
+						t.Errorf("%d cores: core %d passed barrier %d generation %d with %d arrivals", tc.cores, core, id, gen, n)
+					}
+					now++
+				}
+			}(core)
+		}
+		wg.Wait()
+		if n := c.Counts().BarrierEpisodes; n != uint64(tc.gens) {
+			t.Errorf("%d cores: episodes = %d, want %d", tc.cores, n, tc.gens)
+		}
+		if c.WaitingAt(0) != 0 || c.WaitingAt(1) != 0 {
+			t.Errorf("%d cores: cores left waiting: %d, %d", tc.cores, c.WaitingAt(0), c.WaitingAt(1))
+		}
+	}
+}
+
+// TestTableOverflow holds more locks than the table has slots, so some
+// keys find their probe window full and live in the sparse map. Every
+// lock must still be found, copied by Snapshot and Restore, and carried
+// by the wire format.
+func TestTableOverflow(t *testing.T) {
+	const n = 2 * lockSlots
+	c := New(2)
+	for i := uint64(0); i < n; i++ {
+		if !c.TryLock(i*64, int(i%2), 1) {
+			t.Fatalf("lock %d refused", i)
+		}
+	}
+	if c.locks.count() >= n {
+		t.Fatalf("every lock found a table slot; the test needs an overflow")
+	}
+	snap := c.Snapshot()
+	for i := uint64(0); i < n; i += 2 {
+		c.Unlock(i*64, 0, 2)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	wired := New(2)
+	if err := gob.NewDecoder(&buf).Decode(wired); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if got, want := wired.HeldBy(i*64), int(i%2)*2-1; got != want {
+			t.Fatalf("decoded lock %d held by %d, want %d", i, got, want)
+		}
+	}
+	c.Restore(snap)
+	if got := c.LocksHeld(); got != n {
+		t.Fatalf("restored %d held locks, want %d", got, n)
 	}
 }

@@ -3,11 +3,12 @@ package syncctl
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"sort"
 )
 
-// Wire serialization for run snapshots: lock and barrier maps flattened
-// into key-sorted slices so the encoding is deterministic.
+// Wire serialization for run snapshots: lock and barrier tables
+// flattened into key-sorted slices so the encoding is deterministic.
 
 type lockWire struct {
 	Addr       uint64
@@ -32,26 +33,23 @@ type controllerWire struct {
 	BarrierEpisodes               uint64
 }
 
-// GobEncode implements gob.GobEncoder.
+// GobEncode implements gob.GobEncoder. The receiver must be quiescent.
 func (c *Controller) GobEncode() ([]byte, error) {
-	c.mu.Lock()
-	w := controllerWire{
-		NumCores: c.numCores,
-		Acquires: c.Acquires, Releases: c.Releases,
-		Contended: c.Contended, BarrierEpisodes: c.BarrierEpisodes,
-	}
-	for a, l := range c.locks {
-		w.Locks = append(w.Locks, lockWire{Addr: a, Owner: l.owner, ReleasedAt: l.releasedAt})
-	}
-	for id, b := range c.barriers {
-		bw := barrierWire{ID: id, Arrived: b.arrived, Generation: b.generation, ReleasedAt: b.releasedAt}
-		for core := range b.waiting {
-			bw.Waiting = append(bw.Waiting, core)
+	t := c.Counts()
+	w := controllerWire{NumCores: len(c.cores), Acquires: t.Acquires, Releases: t.Releases,
+		Contended: t.Contended, BarrierEpisodes: t.BarrierEpisodes}
+	c.locks.each(func(a uint64, l *lockState) {
+		w.Locks = append(w.Locks, lockWire{a, int(l.owner.Load()) - 1, l.released.Load() - 1})
+	})
+	c.barriers.each(func(id uint64, b *barrier) {
+		bw := barrierWire{int64(id), int(b.arrived.Load()), b.gen.Load(), b.released.Load() - 1, nil}
+		for core, s := range c.cores {
+			if s.arrived && s.id == bw.ID && s.gen == bw.Generation {
+				bw.Waiting = append(bw.Waiting, core)
+			}
 		}
-		sort.Ints(bw.Waiting)
 		w.Barriers = append(w.Barriers, bw)
-	}
-	c.mu.Unlock()
+	})
 	sort.Slice(w.Locks, func(i, j int) bool { return w.Locks[i].Addr < w.Locks[j].Addr })
 	sort.Slice(w.Barriers, func(i, j int) bool { return w.Barriers[i].ID < w.Barriers[j].ID })
 	var buf bytes.Buffer
@@ -59,35 +57,63 @@ func (c *Controller) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder into a controller built for the
+// machine's n cores. It leaves c as it was and fails when check does.
 func (c *Controller) GobDecode(data []byte) error {
 	var w controllerWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	fresh := New(w.NumCores)
+	if err := w.check(len(c.cores)); err != nil {
+		return fmt.Errorf("syncctl: %w", err)
+	}
+	c.Reset()
 	for _, lw := range w.Locks {
-		fresh.locks[lw.Addr] = &lockState{owner: lw.Owner, releasedAt: lw.ReleasedAt}
+		l := c.locks.find(lw.Addr, true)
+		l.owner.Store(int64(lw.Owner) + 1)
+		l.released.Store(lw.ReleasedAt + 1)
 	}
 	for _, bw := range w.Barriers {
-		b := &barrier{
-			arrived: bw.Arrived, generation: bw.Generation,
-			releasedAt: bw.ReleasedAt, waiting: make(map[int]bool, len(bw.Waiting)),
-		}
+		b := c.barriers.find(uint64(bw.ID), true)
+		b.arrived.Store(int64(bw.Arrived))
+		b.gen.Store(bw.Generation)
+		b.released.Store(bw.ReleasedAt + 1)
 		for _, core := range bw.Waiting {
-			b.waiting[core] = true
+			s := &c.cores[core]
+			s.arrived, s.id, s.gen = true, bw.ID, bw.Generation
 		}
-		fresh.barriers[bw.ID] = b
 	}
-	fresh.Acquires, fresh.Releases = w.Acquires, w.Releases
-	fresh.Contended, fresh.BarrierEpisodes = w.Contended, w.BarrierEpisodes
+	if len(c.cores) > 0 {
+		c.cores[0].Counts = Counts{w.Acquires, w.Releases, w.Contended, w.BarrierEpisodes}
+	}
+	return nil
+}
 
-	c.mu.Lock()
-	c.numCores = fresh.numCores
-	c.locks = fresh.locks
-	c.barriers = fresh.barriers
-	c.Acquires, c.Releases = fresh.Acquires, fresh.Releases
-	c.Contended, c.BarrierEpisodes = fresh.Contended, fresh.BarrierEpisodes
-	c.mu.Unlock()
+// check reports why w cannot be restored into a controller of n cores:
+// another core count, keys out of order or named twice, a lock owner
+// outside [-1, n), or a barrier waiter outside [0, n), out of order,
+// waiting twice, or not matching the barrier's arrival count.
+func (w *controllerWire) check(n int) error {
+	if w.NumCores != n {
+		return fmt.Errorf("controller for %d cores, machine has %d", w.NumCores, n)
+	}
+	for i, l := range w.Locks {
+		if i > 0 && l.Addr <= w.Locks[i-1].Addr || l.Owner < -1 || l.Owner >= n {
+			return fmt.Errorf("lock %#x named twice, out of order, or held by core %d of %d", l.Addr, l.Owner, n)
+		}
+	}
+	waiting := make([]bool, n)
+	for i, b := range w.Barriers {
+		for k, core := range b.Waiting {
+			if core < 0 || core >= n || waiting[core] || k > 0 && core < b.Waiting[k-1] {
+				return fmt.Errorf("barrier %d: waiter %d outside [0, %d), out of order, or waiting twice", b.ID, core, n)
+			}
+			waiting[core] = true
+		}
+		if i > 0 && b.ID <= w.Barriers[i-1].ID || b.Arrived != len(b.Waiting) || b.Arrived >= n {
+			return fmt.Errorf("barrier %d named twice or out of order, or %d arrived with %d waiting of %d cores",
+				b.ID, b.Arrived, len(b.Waiting), n)
+		}
+	}
 	return nil
 }
