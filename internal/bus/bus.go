@@ -11,7 +11,11 @@
 // are the paper's "bus violations", by far the most frequent kind.
 package bus
 
-import "slacksim/internal/violation"
+import (
+	"fmt"
+
+	"slacksim/internal/violation"
+)
 
 // Bus is the manager-side state of the request/response bus pair.
 //
@@ -54,24 +58,32 @@ const resWindow = 128
 // reserve places a transaction of the given occupancy at the first
 // non-overlapping slot at or after ready in the reservation list, and
 // returns the start cycle plus whether the transaction was delayed.
+//
+// The list is sorted and every reservation in it has this occupancy, so
+// one ordered pass finds the slot: reservations that end by ready can
+// never overlap, a binary search skips them, and from there each
+// overlapping reservation pushes the start past its end, until one
+// starts at or after the transaction's end — as does every later one. No
+// reservation before that one starts at or after the final start, so the
+// new start is inserted there.
 func reserve(res *[]int64, ready, occupancy int64) (start int64, delayed bool) {
+	r := *res
+	lo, hi := 0, len(r)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); r[mid]+occupancy <= ready {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	start = ready
-	moved := true
-	for moved {
-		moved = false
-		for _, s := range *res {
-			if start < s+occupancy && s < start+occupancy {
-				start = s + occupancy
-				moved = true
-			}
+	i := lo
+	for ; i < len(r) && r[i] < start+occupancy; i++ {
+		if start < r[i]+occupancy {
+			start = r[i] + occupancy
 		}
 	}
 	// Insert sorted; prune the oldest beyond the window.
-	r := *res
-	i := len(r)
-	for i > 0 && r[i-1] > start {
-		i--
-	}
 	r = append(r, 0)
 	copy(r[i+1:], r[i:])
 	r[i] = start
@@ -80,6 +92,32 @@ func reserve(res *[]int64, ready, occupancy int64) (start int64, delayed bool) {
 	}
 	*res = r
 	return start, start != ready
+}
+
+// CheckReservations reports why b's reservation lists cannot have been
+// built by reserve in a run capped at maxCycles, or nil. A bus decoded
+// from bytes that crossed a socket or a disk must pass it before it
+// serves a grant: reserve binary-searches each list, which must be
+// sorted, and adds occupancies to its starts, which must lie in
+// [0, maxCycles]; neither list holds more than resWindow starts.
+func (b *Bus) CheckReservations(maxCycles int64) error {
+	for _, l := range []struct {
+		name string
+		res  []int64
+	}{{"request", b.reqRes}, {"response", b.respRes}} {
+		if len(l.res) > resWindow {
+			return fmt.Errorf("bus: %s bus holds %d reservations, more than the %d-entry window", l.name, len(l.res), resWindow)
+		}
+		for i, s := range l.res {
+			if s < 0 || s > maxCycles {
+				return fmt.Errorf("bus: %s reservation at %d outside [0, %d]", l.name, s, maxCycles)
+			}
+			if i > 0 && s < l.res[i-1] {
+				return fmt.Errorf("bus: %s reservations not sorted (%d after %d)", l.name, s, l.res[i-1])
+			}
+		}
+	}
+	return nil
 }
 
 // New returns an idle bus with the given occupancies (cycles per request

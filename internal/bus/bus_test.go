@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +181,74 @@ func TestQuickViolationIffRetrograde(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// reserveFixpoint is reserve before its binary search and early exit: it
+// rescans the whole list until no reservation overlaps the candidate,
+// then inserts it after every reservation that starts no later.
+func reserveFixpoint(res *[]int64, ready, occupancy int64) (start int64, delayed bool) {
+	start = ready
+	moved := true
+	for moved {
+		moved = false
+		for _, s := range *res {
+			if start < s+occupancy && s < start+occupancy {
+				start = s + occupancy
+				moved = true
+			}
+		}
+	}
+	r := *res
+	i := len(r)
+	for i > 0 && r[i-1] > start {
+		i--
+	}
+	r = append(r, 0)
+	copy(r[i+1:], r[i:])
+	r[i] = start
+	if len(r) > resWindow {
+		r = r[1:]
+	}
+	*res = r
+	return start, start != ready
+}
+
+// TestReserveMatchesFixpoint checks reserve against the fixpoint loop on
+// random sorted lists — dense and sparse, with repeated and overlapping
+// starts, up to the full window so pruning runs — and on the lists the
+// two build themselves over a random request stream.
+func TestReserveMatchesFixpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		occ := 1 + rng.Int63n(8)
+		spread := 1 + rng.Int63n(4*resWindow*occ)
+		list := make([]int64, rng.Intn(resWindow+1))
+		for i := range list {
+			list[i] = rng.Int63n(spread)
+		}
+		slices.Sort(list)
+		ready := rng.Int63n(spread + 2*occ)
+		got, want := slices.Clone(list), slices.Clone(list)
+		gs, gd := reserve(&got, ready, occ)
+		ws, wd := reserveFixpoint(&want, ready, occ)
+		if gs != ws || gd != wd || !slices.Equal(got, want) {
+			t.Fatalf("occ %d ready %d list %v:\n reserve  %d %v %v\n fixpoint %d %v %v",
+				occ, ready, list, gs, gd, got, ws, wd, want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		occ := 1 + rng.Int63n(8)
+		var got, want []int64
+		clock := int64(0)
+		for k := 0; k < 1000; k++ {
+			clock += rng.Int63n(3 * occ)
+			ready := clock - rng.Int63n(40) // slack: grants arrive out of order
+			gs, _ := reserve(&got, ready, occ)
+			ws, _ := reserveFixpoint(&want, ready, occ)
+			if gs != ws || !slices.Equal(got, want) {
+				t.Fatalf("trial %d request %d: reserve start %d, fixpoint %d", trial, k, gs, ws)
+			}
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"slacksim/internal/cache"
-	"slacksim/internal/isa"
 )
 
 // Config describes one target core.
@@ -98,29 +97,4 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.L1D.Validate()
-}
-
-// Latency of each operation class in cycles (execution latency; load
-// latency additionally includes the L1D hit time or the full miss round
-// trip).
-func execLatency(class isa.Class) int64 {
-	switch class {
-	case isa.ClassIntALU:
-		return 1
-	case isa.ClassIntMul:
-		return 3
-	case isa.ClassIntDiv:
-		return 12
-	case isa.ClassFPAdd:
-		return 2
-	case isa.ClassFPMul:
-		return 4
-	case isa.ClassFPDiv:
-		return 12
-	case isa.ClassBranch:
-		return 1
-	case isa.ClassStore:
-		return 1
-	}
-	return 1
 }

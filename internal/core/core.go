@@ -213,62 +213,10 @@ func (c *Core) sendReq(kind coherence.BusReq, lineAddr uint64) uint64 {
 	return c.reqID
 }
 
-// reads reports which source registers the instruction consumes in the
-// out-of-order back end (sync ops read their base register at commit,
-// architecturally, so they report none here).
-func reads(in isa.Inst) (useS1, useS2 bool) {
-	switch in.Op.Class() {
-	case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv,
-		isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
-		switch in.Op {
-		case isa.Lui:
-			return false, false
-		case isa.Addi, isa.Andi, isa.Ori, isa.Xori, isa.Shli, isa.Shri,
-			isa.Slti, isa.FSqrt, isa.FNeg, isa.Itof, isa.Ftoi:
-			return true, false
-		}
-		return true, true
-	case isa.ClassLoad:
-		return true, false
-	case isa.ClassStore:
-		return true, true
-	case isa.ClassBranch:
-		if in.Op == isa.Jmp {
-			return false, false
-		}
-		return true, true
-	}
-	return false, false
-}
-
 // writesDest reports whether the instruction produces a register result
 // (writes to r0 are architectural no-ops and are not renamed).
 func writesDest(in isa.Inst) bool {
-	switch in.Op.Class() {
-	case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv,
-		isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv, isa.ClassLoad:
-		return in.Dst != isa.Zero
-	}
-	return false
-}
-
-// operand resolves source i of e: the producer's result if it is still in
-// flight and done, the architectural register otherwise.
-func (c *Core) operand(e *robEntry, i int, reg isa.Reg) (val uint64, ready bool) {
-	p := e.srcProd[i]
-	if p < 0 {
-		return c.regs[reg], true
-	}
-	pe := c.bySeq(p)
-	if pe == nil {
-		// Producer committed after e dispatched; its value reached the
-		// architectural register file.
-		return c.regs[reg], true
-	}
-	if pe.state == stDone && pe.hasResult {
-		return pe.result, true
-	}
-	return 0, false
+	return in.Op.Info().Writes && in.Dst != isa.Zero
 }
 
 func (c *Core) String() string {

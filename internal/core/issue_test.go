@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -15,14 +16,18 @@ import (
 	"slacksim/internal/syncctl"
 )
 
-// The reference stages below are the pipeline before its bitsets existed:
-// each scans the whole window (or its older part) oldest first. They are
-// the oracle the bitset walks must match decision for decision. They
-// clear the bits of what they issue and complete, so both cores keep
-// comparable derived state, but they never read a bitset.
+// The reference stages below are the pipeline before its bitsets and
+// captured operands existed: each scans the whole window (or its older
+// part) oldest first, and issue reads each operand from its producer or
+// the register file. They are the oracle the bitset walks and the
+// operand capture must match decision for decision. They clear the bits
+// of what they issue and complete, so both cores keep comparable derived
+// state, but they never read a bitset or a captured operand.
 
 // issueScan is the issue stage before the ready set: it tries every
 // dispatched entry, disambiguating loads with disambiguateScan.
+// Functional-unit limits are counted per class, as they were before the
+// op table named a pool per op.
 func (c *Core) issueScan() {
 	slots := c.cfg.IssueWidth
 	memPorts := c.cfg.MemPortsPerCycle
@@ -55,7 +60,7 @@ func (c *Core) issueScan() {
 				continue
 			}
 		}
-		if !c.tryIssueScan(e) {
+		if !c.tryIssueScan(e, e.inst.Op.Info()) {
 			continue
 		}
 		c.clearBit(c.ready, seq)
@@ -71,15 +76,18 @@ func (c *Core) issueScan() {
 	}
 }
 
-// tryIssueScan is tryIssue with a load's disambiguation done by
-// disambiguateScan.
-func (c *Core) tryIssueScan(e *robEntry) bool {
-	if e.inst.Op.Class() != isa.ClassLoad {
-		return c.tryIssue(e)
-	}
-	a, _, ok := c.operands(e)
+// tryIssueScan is tryIssue on operands read by operands, with a load's
+// disambiguation done by disambiguateScan. It overwrites e's captured
+// operands with what it read, so a capture that went wrong shows as a
+// difference from the core that issued on it.
+func (c *Core) tryIssueScan(e *robEntry, info isa.Info) bool {
+	a, b, ok := c.operands(e)
 	if !ok {
 		return false
+	}
+	e.src = [2]uint64{a, b}
+	if info.Class != isa.ClassLoad {
+		return c.tryIssue(e, info)
 	}
 	addr := a + uint64(e.inst.Imm)
 	fwd, ok := c.disambiguateScan(e.seq, addr)
@@ -87,6 +95,42 @@ func (c *Core) tryIssueScan(e *robEntry) bool {
 		return false
 	}
 	return c.issueLoad(e, addr, fwd)
+}
+
+// operands reads the source values e consumes; ok is false while one of
+// them is still being produced.
+func (c *Core) operands(e *robEntry) (a, b uint64, ok bool) {
+	reads := e.inst.Op.Info().Reads
+	if reads[0] {
+		if a, ok = c.operand(e, 0, e.inst.Src1); !ok {
+			return 0, 0, false
+		}
+	}
+	if reads[1] {
+		if b, ok = c.operand(e, 1, e.inst.Src2); !ok {
+			return 0, 0, false
+		}
+	}
+	return a, b, true
+}
+
+// operand resolves source i of e: the producer's result if it is still in
+// flight and done, the architectural register otherwise.
+func (c *Core) operand(e *robEntry, i int, reg isa.Reg) (val uint64, ready bool) {
+	p := e.srcProd[i]
+	if p < 0 {
+		return c.regs[reg], true
+	}
+	pe := c.bySeq(p)
+	if pe == nil {
+		// Producer committed after e dispatched; its value reached the
+		// architectural register file.
+		return c.regs[reg], true
+	}
+	if pe.state == stDone && pe.hasResult {
+		return pe.result, true
+	}
+	return 0, false
 }
 
 // disambiguateScan is disambiguate before the store set: it visits every
@@ -230,12 +274,13 @@ func viaWire(t *testing.T, s *Snapshot) *Snapshot {
 }
 
 // wakeState is a core's derived state: the ready, issued and stores
-// bitsets and every window entry's pending count and links.
+// bitsets and every window entry's pending count, links and captured
+// operands.
 func wakeState(c *Core) string {
 	s := fmt.Sprintf("ready=%x issued=%x stores=%x", c.ready, c.issued, c.stores)
 	for seq := c.robHead; seq < c.nextSeq; seq++ {
 		e := c.entry(seq)
-		s += fmt.Sprintf(" %d:%d/%d/%v", seq, e.pending, e.wakeHead, e.wakeNext)
+		s += fmt.Sprintf(" %d:%d/%d/%v/%x", seq, e.pending, e.wakeHead, e.wakeNext, e.src)
 	}
 	return s
 }
@@ -348,4 +393,37 @@ func TestIssueMatchesScanOracle(t *testing.T) {
 			flushes, mshrFull, rollbacks, grown)
 	}
 	t.Logf("%d flushes, %d MSHR-full retries, %d rollbacks, %d grown rings", flushes, mshrFull, rollbacks, grown)
+}
+
+// TestWordWalkMatchesBitScan checks the word-at-a-time walk the stages
+// use against a scan of one bit per seq, on random bitsets of rings of
+// 64, 128 and 512 slots, over random ranges that start and end anywhere
+// in a word and wrap around the ring's end.
+func TestWordWalkMatchesBitScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{64, 128, 512} {
+		c := &Core{rob: make([]robEntry, n)}
+		set := make([]uint64, n/64)
+		for trial := 0; trial < 2000; trial++ {
+			for i := range set {
+				set[i] = rng.Uint64() & rng.Uint64()
+			}
+			from := rng.Intn(1 << 20)
+			to := from + rng.Intn(n+1)
+			var walked, scanned []int
+			for base := from &^ 63; base < to; base += 64 {
+				for w := c.word(set, base, from, to); w != 0; w &= w - 1 {
+					walked = append(walked, base+bits.TrailingZeros64(w))
+				}
+			}
+			for seq := from; seq < to; seq++ {
+				if slot := seq & (n - 1); set[slot>>6]&(1<<(slot&63)) != 0 {
+					scanned = append(scanned, seq)
+				}
+			}
+			if fmt.Sprint(walked) != fmt.Sprint(scanned) {
+				t.Fatalf("ring %d, seqs [%d, %d): walk visits %v, scan %v", n, from, to, walked, scanned)
+			}
+		}
+	}
 }

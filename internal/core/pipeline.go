@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/coherence"
@@ -243,16 +244,18 @@ func (c *Core) commitStore(e *robEntry) bool {
 // set oldest first, so branches resolve, and train the predictor, in
 // window order, and nothing younger than a mispredict completes.
 func (c *Core) completeExec() {
-	n := c.robLen()
-	for off := c.nextSet(c.issued, 0, n); off < n; off = c.nextSet(c.issued, off+1, n) {
-		seq := c.robHead + off
-		e := c.entry(seq)
-		if e.doneAt > c.now {
-			continue
-		}
-		c.clearBit(c.issued, seq)
-		if c.complete(e) {
-			return
+	from, to := c.robHead, c.nextSeq
+	for base := from &^ 63; base < to; base += 64 {
+		for w := c.word(c.issued, base, from, to); w != 0; w &= w - 1 {
+			seq := base + bits.TrailingZeros64(w)
+			e := c.entry(seq)
+			if e.doneAt > c.now {
+				continue
+			}
+			c.clearBit(c.issued, seq)
+			if c.complete(e) {
+				return
+			}
 		}
 	}
 }
@@ -314,67 +317,49 @@ func (c *Core) flushAfter(keep int) {
 }
 
 // issue selects up to IssueWidth instructions from the ready set, oldest
-// first, reads their operands and starts execution, modeling per-class
-// functional-unit limits. An entry that cannot start this cycle (no free
-// port or unit, an older store with an unknown address, a full MSHR file)
-// stays ready and is tried again next cycle.
+// first, and starts their execution on the captured operand values,
+// modeling per-pool functional-unit limits. An entry that cannot start
+// this cycle (no free port or unit, an older store with an unknown
+// address, a full MSHR file) stays ready and is tried again next cycle.
 func (c *Core) issue() {
 	slots := c.cfg.IssueWidth
-	memPorts := c.cfg.MemPortsPerCycle
-	fpOps := c.cfg.FPopsPerCycle
-	divs := c.cfg.DivsPerCycle
-	n := c.robLen()
-	for off := c.nextSet(c.ready, 0, n); off < n && slots > 0; off = c.nextSet(c.ready, off+1, n) {
-		seq := c.robHead + off
-		e := c.entry(seq)
-		cls := e.inst.Op.Class()
-		switch cls {
-		case isa.ClassNop:
-			// Trivially done, taking no slot.
+	var free [isa.NumUnits]int
+	free[isa.UnitALU] = slots
+	free[isa.UnitMem] = c.cfg.MemPortsPerCycle
+	free[isa.UnitFP] = c.cfg.FPopsPerCycle
+	free[isa.UnitDiv] = c.cfg.DivsPerCycle
+	from, to := c.robHead, c.nextSeq
+	for base := from &^ 63; base < to; base += 64 {
+		for w := c.word(c.ready, base, from, to); w != 0; w &= w - 1 {
+			seq := base + bits.TrailingZeros64(w)
+			e := c.entry(seq)
+			info := e.inst.Op.Info()
+			if info.Class == isa.ClassNop {
+				// Trivially done, taking no slot.
+				c.clearBit(c.ready, seq)
+				c.markDone(e)
+				e.doneAt = c.now
+				continue
+			}
+			if free[info.Unit] == 0 || !c.tryIssue(e, info) {
+				continue
+			}
 			c.clearBit(c.ready, seq)
-			c.markDone(e)
-			e.doneAt = c.now
-			continue
-		case isa.ClassLoad, isa.ClassStore:
-			if memPorts == 0 {
-				continue
+			free[info.Unit]--
+			if slots--; slots == 0 {
+				return
 			}
-		case isa.ClassFPAdd, isa.ClassFPMul:
-			if fpOps == 0 {
-				continue
-			}
-		case isa.ClassIntDiv, isa.ClassFPDiv:
-			if divs == 0 {
-				continue
-			}
-		}
-		if !c.tryIssue(e) {
-			continue
-		}
-		c.clearBit(c.ready, seq)
-		slots--
-		switch cls {
-		case isa.ClassLoad, isa.ClassStore:
-			memPorts--
-		case isa.ClassFPAdd, isa.ClassFPMul:
-			fpOps--
-		case isa.ClassIntDiv, isa.ClassFPDiv:
-			divs--
 		}
 	}
 }
 
-// tryIssue attempts to begin execution of ROB entry e.
-func (c *Core) tryIssue(e *robEntry) bool {
-	a, b, ok := c.operands(e)
-	if !ok {
-		return false
-	}
-	switch e.inst.Op.Class() {
+// tryIssue attempts to begin execution of ROB entry e, whose op has the
+// op-table row info, on its captured operands.
+func (c *Core) tryIssue(e *robEntry, info isa.Info) bool {
+	a, b := e.src[0], e.src[1]
+	switch info.Class {
 	case isa.ClassBranch:
 		e.actualTaken = isa.BranchTaken(e.inst, a, b)
-		c.execute(e, execLatency(isa.ClassBranch))
-		return true
 	case isa.ClassLoad:
 		addr := a + uint64(e.inst.Imm)
 		fwd, ok := c.disambiguate(e.seq, addr)
@@ -386,30 +371,13 @@ func (c *Core) tryIssue(e *robEntry) bool {
 		e.addr = a + uint64(e.inst.Imm)
 		e.addrValid = true
 		e.storeVal = b
-		return c.issueStore(e)
+		return c.issueStore(e, info)
 	default:
 		e.result = isa.ALUResult(e.inst, a, b)
 		e.hasResult = true
-		c.execute(e, execLatency(e.inst.Op.Class()))
-		return true
 	}
-}
-
-// operands reads the source values e consumes; ok is false while one of
-// them is still being produced.
-func (c *Core) operands(e *robEntry) (a, b uint64, ok bool) {
-	useS1, useS2 := reads(e.inst)
-	if useS1 {
-		if a, ok = c.operand(e, 0, e.inst.Src1); !ok {
-			return 0, 0, false
-		}
-	}
-	if useS2 {
-		if b, ok = c.operand(e, 1, e.inst.Src2); !ok {
-			return 0, 0, false
-		}
-	}
-	return a, b, true
+	c.execute(e, int64(info.Latency))
+	return true
 }
 
 // execute starts e on a functional unit: it completes lat cycles from now.
@@ -428,14 +396,16 @@ func (c *Core) execute(e *robEntry, lat int64) {
 //
 //slacksim:hotpath
 func (c *Core) disambiguate(seq int, addr uint64) (fwd *robEntry, ok bool) {
-	n := seq - c.robHead
-	for off := c.nextSet(c.stores, 0, n); off < n; off = c.nextSet(c.stores, off+1, n) {
-		s := c.entry(c.robHead + off)
-		if !s.addrValid {
-			return nil, false // conservative: wait for the address
-		}
-		if s.addr == addr {
-			fwd = s
+	from := c.robHead
+	for base := from &^ 63; base < seq; base += 64 {
+		for w := c.word(c.stores, base, from, seq); w != 0; w &= w - 1 {
+			s := c.entry(base + bits.TrailingZeros64(w))
+			if !s.addrValid {
+				return nil, false // conservative: wait for the address
+			}
+			if s.addr == addr {
+				fwd = s
+			}
 		}
 	}
 	return fwd, true
@@ -471,13 +441,13 @@ func (c *Core) issueLoad(e *robEntry, addr uint64, fwd *robEntry) bool {
 	return true
 }
 
-// issueStore computes the store's address and value and obtains write
-// permission; the architectural write happens at commit.
-func (c *Core) issueStore(e *robEntry) bool {
+// issueStore obtains write permission for a store whose address and
+// value are computed; the architectural write happens at commit.
+func (c *Core) issueStore(e *robEntry, info isa.Info) bool {
 	line := cache.LineAddr(e.addr)
 	st := c.l1d.State(line)
 	if st.CanWrite() {
-		c.execute(e, execLatency(isa.ClassStore))
+		c.execute(e, int64(info.Latency))
 		return true
 	}
 	entry, primary := c.dmshr.Allocate(line, true, e.seq, c.now)
@@ -513,25 +483,26 @@ func (c *Core) dispatch() {
 		seq := c.nextSeq
 		c.nextSeq++
 		e := c.entry(seq)
-		*e = robEntry{
-			seq: seq, pc: f.pc, inst: f.inst, state: stDispatched,
-			predTaken: f.predTaken, srcProd: [2]int{-1, -1},
-		}
-		useS1, useS2 := reads(f.inst)
-		if useS1 {
+		info := f.inst.Op.Info()
+		// Clear the slot in place and fill in what dispatch knows; the
+		// rest starts at zero and subscribe sets the wakeup state.
+		*e = robEntry{}
+		e.seq, e.pc, e.inst, e.state, e.predTaken = seq, f.pc, f.inst, stDispatched, f.predTaken
+		e.srcProd = [2]int{-1, -1}
+		if info.Reads[0] {
 			e.srcProd[0] = c.mapTable[f.inst.Src1]
 		}
-		if useS2 {
+		if info.Reads[1] {
 			e.srcProd[1] = c.mapTable[f.inst.Src2]
 		}
 		c.subscribe(e)
-		if f.inst.Op == isa.Store {
+		if info.Class == isa.ClassStore {
 			c.setBit(c.stores, seq)
 		}
 		if writesDest(f.inst) {
 			c.mapTable[f.inst.Dst] = seq
 		}
-		if f.inst.Op.IsSync() || f.inst.Op == isa.Halt {
+		if info.Serial {
 			c.serializeSeq = seq
 		}
 	}
@@ -560,24 +531,24 @@ func (c *Core) fetch() {
 			return
 		}
 		in := c.prog.At(pc)
-		f := fetched{pc: pc, inst: in}
-		next := pc + 1
-		if in.Op.IsBranch() {
-			if in.Op == isa.Jmp {
-				f.predTaken = true
-			} else {
-				f.predTaken = c.pred.Predict(pc)
-			}
-			if f.predTaken {
+		info := in.Op.Info()
+		next, taken := pc+1, false
+		if info.Class == isa.ClassBranch {
+			if taken = in.Op == isa.Jmp || c.pred.Predict(pc); taken {
 				next = int(in.Imm)
 			}
 		}
-		c.fetchBuf = append(c.fetchBuf, f)
+		// Filled in place: a literal built on the stack and copied in is
+		// reloaded in wide moves across the narrow stores that wrote it,
+		// which defeats store forwarding.
+		c.fetchBuf = append(c.fetchBuf, fetched{})
+		f := &c.fetchBuf[len(c.fetchBuf)-1]
+		f.pc, f.inst, f.predTaken = pc, in, taken
 		c.fetchPC = next
-		if in.Op == isa.Halt || in.Op.IsSync() {
+		if info.Serial {
 			return // do not fetch past serializing instructions this cycle
 		}
-		if f.predTaken {
+		if taken {
 			return // taken branch ends the fetch group
 		}
 	}

@@ -87,9 +87,9 @@ func TestPredictorSnapshotRestore(t *testing.T) {
 func TestReadsTable(t *testing.T) {
 	check := func(op isa.Op, wantS1, wantS2 bool) {
 		t.Helper()
-		s1, s2 := reads(isa.Inst{Op: op})
-		if s1 != wantS1 || s2 != wantS2 {
-			t.Errorf("reads(%v) = (%v,%v), want (%v,%v)", op, s1, s2, wantS1, wantS2)
+		r := op.Info().Reads
+		if s1, s2 := r[0], r[1]; s1 != wantS1 || s2 != wantS2 {
+			t.Errorf("%v reads (%v,%v), want (%v,%v)", op, r[0], r[1], wantS1, wantS2)
 		}
 	}
 	check(isa.Add, true, true)

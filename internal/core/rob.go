@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"slacksim/internal/isa"
-)
+import "slacksim/internal/isa"
 
 // entryState tracks an in-flight instruction through the back end.
 type entryState uint8
@@ -16,19 +12,14 @@ const (
 	stDone                         // result ready; eligible to commit
 )
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight instruction. Its one-byte fields sit
+// together, where they pack into two words instead of padding one each.
 type robEntry struct {
-	seq   int
-	pc    int
-	inst  isa.Inst
-	state entryState
+	seq  int
+	pc   int
+	inst isa.Inst
 
-	// srcProd holds the ROB seq of each source operand's producer, or -1
-	// when the value comes from the architectural register file.
-	srcProd [2]int
-
-	doneAt    int64
-	result    uint64
+	state     entryState
 	hasResult bool
 
 	// Branch bookkeeping.
@@ -36,18 +27,30 @@ type robEntry struct {
 	actualTaken bool
 	resolved    bool
 
-	// Memory bookkeeping.
-	addr      uint64
+	// Memory bookkeeping: see addr and storeVal below. written marks a
+	// store whose architectural write was performed early because a snoop
+	// took the line (see applySnoop).
 	addrValid bool
-	storeVal  uint64
-	// written marks a store whose architectural write was performed early
-	// because a snoop took the line (see applySnoop).
-	written bool
+	written   bool
 
-	// Synchronization bookkeeping.
-	barrierGen     uint64
+	// Synchronization bookkeeping: see barrierGen and nextLockTry below.
 	barrierArrived bool
-	nextLockTry    int64
+
+	// pending is wakeup state: see wakeHead below.
+	pending uint8
+
+	// srcProd holds the ROB seq of each source operand's producer, or -1
+	// when the value comes from the architectural register file.
+	srcProd [2]int
+
+	doneAt int64
+	result uint64
+
+	addr     uint64
+	storeVal uint64
+
+	barrierGen  uint64
+	nextLockTry int64
 
 	// Wakeup state, derived from the fields above and rebuilt by Restore
 	// (the wire format does not carry it). pending counts the in-window
@@ -55,10 +58,13 @@ type robEntry struct {
 	// are intrusive: wakeHead names the youngest consumer operand
 	// subscribed to this entry, as a link seq<<1|operand, and that
 	// consumer's wakeNext[operand] names the next-older one; -1 ends a
-	// list.
-	pending  uint8
+	// list. src holds the value of each operand the op reads, captured
+	// from the register file or a done producer when the entry
+	// subscribes, or from the producer when it wakes the entry; an
+	// operand still pending, and one the op does not read, holds zero.
 	wakeHead int
 	wakeNext [2]int
+	src      [2]uint64
 }
 
 // noLink ends a wake list.
@@ -83,9 +89,11 @@ const minROBRing = 64
 // stage (not a sync op or halt) and has no unfinished in-window producer.
 // Dispatch subscribes each entry to its unfinished producers; markDone,
 // the one transition to stDone, wakes the subscribers. An entry outside
-// the ready set would fail tryIssue's operand check, and an entry inside
-// it is retried every cycle until it issues, so walking the set oldest
-// first selects exactly what a scan of the whole window selects.
+// the ready set still waits for an operand, and an entry inside it is
+// retried every cycle until it issues, so walking the set oldest first
+// selects exactly what a scan of the whole window selects. An entry in
+// the set has every operand it reads captured in src, so issue reads no
+// producer and no register.
 //
 // Two more bitsets, also one bit per slot, let the other per-cycle walks
 // skip what they would only pass over. A slot's issued bit is set exactly
@@ -155,57 +163,71 @@ func (c *Core) clearBit(set []uint64, seq int) {
 	set[slot>>6] &^= 1 << (slot & 63)
 }
 
-// nextSet returns the window offset (seq - robHead) of the oldest entry in
-// [off, n) whose bit is set in set, or n when there is none; n is at most
-// the window length. Whole clear words are skipped in one step.
+// word returns the 64 bits of set that cover the seqs [base, base+64),
+// base a multiple of 64, with the bits of seqs outside [from, to)
+// cleared. The ring's length is a multiple of 64, so a seq's bit sits at
+// seq&63 of its word whatever the ring size, and the word after a ring's
+// last one is its first. The stages walk a range of the window with it
+// one word at a time, popping set bits oldest first:
+//
+//	for base := from &^ 63; base < to; base += 64 {
+//		for w := c.word(set, base, from, to); w != 0; w &= w - 1 {
+//			seq := base + bits.TrailingZeros64(w)
+//
+// A walk reads each word once, when it reaches it, so it sees no later
+// change to a word it has reached; the walking stages change only the
+// bit just visited, or stop.
 //
 //slacksim:hotpath
-func (c *Core) nextSet(set []uint64, off, n int) int {
-	for off < n {
-		slot := (c.robHead + off) & (len(c.rob) - 1)
-		if word := set[slot>>6] >> (slot & 63); word != 0 {
-			return min(off+bits.TrailingZeros64(word), n)
-		}
-		off += 64 - slot&63 // on to the first slot of the next word
+func (c *Core) word(set []uint64, base, from, to int) uint64 {
+	w := set[(base&(len(c.rob)-1))>>6]
+	if from > base {
+		w &^= 1<<(from-base) - 1
 	}
-	return n
+	if to-base < 64 {
+		w &= 1<<(to-base) - 1
+	}
+	return w
 }
 
-// issuable reports whether the issue stage executes the instruction: sync
-// ops and halt execute at commit instead.
-func issuable(in isa.Inst) bool {
-	cls := in.Op.Class()
-	return cls != isa.ClassSync && cls != isa.ClassHalt
-}
-
-// subscribe sets up e's wakeup state from its srcProd: it counts the
-// operand producers still in flight and not done, links e into their wake
-// lists, and adds e to the ready set when none is left. Entries must
-// subscribe in seq order (dispatch order), which keeps every wake list
-// youngest first.
+// subscribe sets up e's wakeup state from its srcProd: it captures each
+// operand the op reads whose value is known (its producer committed or is
+// done), counts the producers still in flight and not done, links e into
+// their wake lists, and adds e to the ready set when none is left.
+// Entries must subscribe in seq order (dispatch order), which keeps every
+// wake list youngest first. A register with no in-window producer cannot
+// change before e commits, as only older entries write it.
 //
 //slacksim:hotpath
 func (c *Core) subscribe(e *robEntry) {
+	info := e.inst.Op.Info()
 	e.pending = 0
 	e.wakeHead = noLink
 	e.wakeNext = [2]int{noLink, noLink}
-	for i, p := range e.srcProd {
-		pe := c.bySeq(p)
-		if pe == nil || pe.state == stDone {
+	e.src = [2]uint64{}
+	for i := range e.srcProd {
+		if !info.Reads[i] {
 			continue
 		}
-		e.pending++
-		e.wakeNext[i] = pe.wakeHead
-		pe.wakeHead = e.seq<<1 | i
+		switch pe := c.bySeq(e.srcProd[i]); {
+		case pe == nil:
+			e.src[i] = c.regs[[2]isa.Reg{e.inst.Src1, e.inst.Src2}[i]]
+		case pe.state == stDone:
+			e.src[i] = pe.result
+		default:
+			e.pending++
+			e.wakeNext[i] = pe.wakeHead
+			pe.wakeHead = e.seq<<1 | i
+		}
 	}
-	if e.pending == 0 && e.state == stDispatched && issuable(e.inst) {
+	if e.pending == 0 && e.state == stDispatched && !info.Serial {
 		c.setBit(c.ready, e.seq)
 	}
 }
 
-// markDone moves e to stDone and wakes its subscribers: each loses one
-// pending producer and joins the ready set at zero. Every transition to
-// stDone goes through here.
+// markDone moves e to stDone and wakes its subscribers: each captures
+// e's result, loses one pending producer and joins the ready set at
+// zero. Every transition to stDone goes through here.
 //
 //slacksim:hotpath
 func (c *Core) markDone(e *robEntry) {
@@ -213,6 +235,7 @@ func (c *Core) markDone(e *robEntry) {
 	for link := e.wakeHead; link != noLink; {
 		ce, op := c.entry(link>>1), link&1
 		link, ce.wakeNext[op] = ce.wakeNext[op], noLink
+		ce.src[op] = e.result
 		ce.pending--
 		if ce.pending == 0 {
 			c.setBit(c.ready, ce.seq)

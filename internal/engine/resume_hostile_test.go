@@ -14,7 +14,6 @@ import (
 
 	"slacksim"
 	"slacksim/client"
-	"slacksim/internal/bus"
 	"slacksim/internal/cache"
 	"slacksim/internal/coherence"
 	"slacksim/internal/core"
@@ -25,6 +24,7 @@ import (
 	"slacksim/internal/mem"
 	"slacksim/internal/service/server"
 	"slacksim/internal/spec"
+	"slacksim/internal/violation"
 )
 
 // coreWire mirrors internal/core's snapshot wire format field for field
@@ -82,14 +82,24 @@ type fetchedWire struct {
 	PredTaken bool
 }
 
-// uncoreWire mirrors internal/uncore's snapshot wire format. The status
-// map keeps its own encoding, which statusMapWire mirrors in turn.
+// uncoreWire mirrors internal/uncore's snapshot wire format. The bus and
+// the status map keep their own encodings, which busWire and
+// statusMapWire mirror in turn.
 type uncoreWire struct {
-	Bus  *bus.Bus
+	Bus  gobBlob
 	L2   *cache.Cache
 	Smap gobBlob
 
 	Served, Invalidations uint64
+}
+
+type busWire struct {
+	ReqRes, RespRes []int64
+	Monitor         violation.Monitor
+	ReqOccupancy    int64
+	RespOccupancy   int64
+
+	Grants, Conflicts, RespConflicts, Violations uint64
 }
 
 type statusMapWire struct {
@@ -117,11 +127,21 @@ func (b *gobBlob) GobDecode(data []byte) error {
 // with instructions in flight.
 var hostileSpec = spec.Spec{Workload: "fft", Scheme: "s8", Cores: 2, Seed: 1, CheckpointInterval: 400}
 
+// p2pSpec is hostileSpec under Lax-P2P, whose run state carries each
+// core's next sync point and partner.
+var p2pSpec = spec.Spec{Workload: "fft", Scheme: "p2p100", Cores: 2, Seed: 1, CheckpointInterval: 400}
+
 // exportAtFirstBoundary returns the SLKSNAP1 container of hostileSpec
 // snapshotted at its first boundary, and the uninterrupted run's results.
 func exportAtFirstBoundary(t *testing.T) ([]byte, slacksim.Results) {
 	t.Helper()
-	cfg, err := hostileSpec.Config()
+	return exportSpecAtFirstBoundary(t, hostileSpec)
+}
+
+// exportSpecAtFirstBoundary is exportAtFirstBoundary for any spec.
+func exportSpecAtFirstBoundary(t *testing.T, sp spec.Spec) ([]byte, slacksim.Results) {
+	t.Helper()
+	cfg, err := sp.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +158,7 @@ func exportAtFirstBoundary(t *testing.T) ([]byte, slacksim.Results) {
 	if _, err := sim.Run(); !errors.Is(err, slacksim.ErrSnapshotted) {
 		t.Fatalf("run: %v, want ErrSnapshotted", err)
 	}
-	blob, err := durable.EncodeSnapshot(hostileSpec, state)
+	blob, err := durable.EncodeSnapshot(sp, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,6 +625,100 @@ func TestResumeRejectsHostileSyncAndMemory(t *testing.T) {
 		})
 		checkForgedResume(t, forged, "more than", nil)
 	})
+}
+
+// TestResumeRejectsHostileP2PAndBus forges SLKSNAP1 payloads whose
+// Lax-P2P gate state or bus reservations break what the run relies on:
+// per-core slices of another length, a partner outside [-1, cores) or
+// equal to its own core (the gate indexes the retired mask and the cores
+// by it), a negative next sync point, and reservation lists that are
+// unsorted, longer than the bus's window or past MaxCycles (the
+// reservation search binary-searches them and adds occupancies to their
+// starts). Both engine.Resume and POST /v1/resume must fail naming the
+// defect; each unedited payload must still resume to the uninterrupted
+// run's results.
+func TestResumeRejectsHostileP2PAndBus(t *testing.T) {
+	p2pBlob, p2pWant := exportSpecAtFirstBoundary(t, p2pSpec)
+	type (
+		hdr  = engine.RunHeader
+		inQ  = [][]event.Msg
+		outQ = [][]event.Request
+	)
+	p2pCases := []struct {
+		name string
+		edit func(h *hdr)
+		want string
+	}{
+		{"unedited", func(*hdr) {}, ""},
+		{"partner 2", func(h *hdr) { h.P2PPartner[0] = 2 }, "partner 2"},
+		{"partner -2", func(h *hdr) { h.P2PPartner[1] = -2 }, "partner -2"},
+		{"partner is itself", func(h *hdr) { h.P2PPartner[1] = 1 }, "partner 1"},
+		{"negative next sync point", func(h *hdr) { h.P2PNext[0] = -1 }, "sync point -1"},
+		{"short partner slice", func(h *hdr) { h.P2PPartner = h.P2PPartner[:1] }, "Lax-P2P state"},
+		{"long blocked slice", func(h *hdr) { h.P2PBlocked = append(h.P2PBlocked, true) }, "Lax-P2P state"},
+	}
+	for _, tc := range p2pCases {
+		t.Run("p2p/"+tc.name, func(t *testing.T) {
+			var wantRes *slacksim.Results
+			if tc.want == "" {
+				wantRes = &p2pWant
+			}
+			forged := editRun(t, p2pBlob, func(h *hdr, _ inQ, _ outQ) { tc.edit(h) })
+			checkForgedResume(t, forged, tc.want, wantRes)
+		})
+	}
+	t.Run("p2p/state on a bounded-slack run", func(t *testing.T) {
+		blob, _ := exportAtFirstBoundary(t)
+		forged := editRun(t, blob, func(h *hdr, _ inQ, _ outQ) {
+			h.P2PNext, h.P2PPartner, h.P2PBlocked = []int64{100, 100}, []int{-1, -1}, []bool{false, false}
+		})
+		checkForgedResume(t, forged, "Lax-P2P state", nil)
+	})
+
+	blob, want := exportAtFirstBoundary(t)
+	busCases := []struct {
+		name string
+		edit func(w *busWire)
+		want string
+	}{
+		{"unedited", func(*busWire) {}, ""},
+		{"unsorted request reservations", func(w *busWire) {
+			if len(w.ReqRes) == 0 || w.ReqRes[len(w.ReqRes)-1] == 0 {
+				t.Fatalf("the request bus holds %v at the boundary; the case needs a reservation past 0", w.ReqRes)
+			}
+			w.ReqRes = append(w.ReqRes, 0)
+		}, "not sorted"},
+		{"response reservations over the window", func(w *busWire) {
+			w.RespRes = w.RespRes[:0]
+			for i := int64(0); i <= 128; i++ {
+				w.RespRes = append(w.RespRes, i)
+			}
+		}, "more than"},
+		{"reservation past MaxCycles", func(w *busWire) { w.RespRes = append(w.RespRes, 1<<62) }, "outside"},
+		{"negative reservation", func(w *busWire) { w.ReqRes = append([]int64{-3}, w.ReqRes...) }, "outside"},
+	}
+	for _, tc := range busCases {
+		t.Run("bus/"+tc.name, func(t *testing.T) {
+			var wantRes *slacksim.Results
+			if tc.want == "" {
+				wantRes = &want
+			}
+			forged := editComponent(t, blob, "uncore", func(u *uncoreWire) any {
+				var w busWire
+				if err := gob.NewDecoder(bytes.NewReader(u.Bus)).Decode(&w); err != nil {
+					t.Fatal(err)
+				}
+				tc.edit(&w)
+				var buf bytes.Buffer
+				if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+					t.Fatal(err)
+				}
+				u.Bus = buf.Bytes()
+				return u
+			})
+			checkForgedResume(t, forged, tc.want, wantRes)
+		})
+	}
 }
 
 // TestResumeFastForwardIsInterruptible forges a payload whose pacing

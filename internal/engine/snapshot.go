@@ -346,6 +346,31 @@ func (h *engineHeader) checkPacing(cfg RunConfig) error {
 	return nil
 }
 
+// checkP2P reports why the header's Lax-P2P gate state cannot be
+// restored, or nil. A Lax-P2P run carries a next sync point, a partner
+// and a blocked flag per core, any other run none of them. The gate
+// indexes the retired mask and the cores by a partner, which is -1 (none
+// chosen) or another core, and a sync point is a non-negative cycle.
+func (h *engineHeader) checkP2P(laxP2P bool) error {
+	n := 0
+	if laxP2P {
+		n = h.NumCores
+	}
+	if len(h.P2PNext) != n || len(h.P2PPartner) != n || len(h.P2PBlocked) != n {
+		return fmt.Errorf("Lax-P2P state has %d/%d/%d sync points/partners/flags, want %d each",
+			len(h.P2PNext), len(h.P2PPartner), len(h.P2PBlocked), n)
+	}
+	for i := 0; i < n; i++ {
+		if p := h.P2PPartner[i]; p < -1 || p >= n || p == i {
+			return fmt.Errorf("core %d has Lax-P2P partner %d on a %d-core machine", i, p, n)
+		}
+		if h.P2PNext[i] < 0 {
+			return fmt.Errorf("core %d has Lax-P2P next sync point %d", i, h.P2PNext[i])
+		}
+	}
+	return nil
+}
+
 // Resume continues a run exported by a snapshot request. The machine
 // must be freshly built from the same spec (same workload, cores, and
 // configuration) that produced the snapshot, and cfg must be the same
@@ -385,13 +410,16 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 			return Results{}, fmt.Errorf("engine: resume: %w", err)
 		}
 	}
-	if err := m.unc.CheckSnapshot(st.unc); err != nil {
+	if err := m.unc.CheckSnapshot(st.unc, cfg.MaxCycles); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}
 	if err := st.checkQueues(cfg.MaxCycles); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}
 	if err := hdr.checkPacing(cfg); err != nil {
+		return Results{}, fmt.Errorf("engine: resume: %w", err)
+	}
+	if err := hdr.checkP2P(cfg.Scheme.Kind == LaxP2P); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}
 	r.ctrl = st.ctrl

@@ -134,37 +134,110 @@ const (
 	ClassHalt
 )
 
-// Class reports the operation class of op.
-func (op Op) Class() Class {
-	switch op {
-	case Nop:
-		return ClassNop
-	case Add, Sub, And, Or, Xor, Shl, Shr, Slt,
-		Addi, Andi, Ori, Xori, Shli, Shri, Slti, Lui, Itof, Ftoi, FNeg, FLt:
-		return ClassIntALU
-	case Mul:
-		return ClassIntMul
-	case Div, Rem:
-		return ClassIntDiv
-	case FAdd, FSub:
-		return ClassFPAdd
-	case FMul:
-		return ClassFPMul
-	case FDiv, FSqrt:
-		return ClassFPDiv
-	case Load:
-		return ClassLoad
-	case Store:
-		return ClassStore
-	case Beq, Bne, Blt, Bge, Jmp:
-		return ClassBranch
-	case LockAcq, LockRel, Barrier:
-		return ClassSync
-	case Halt:
-		return ClassHalt
-	}
-	return ClassNop
+// Unit names the functional-unit pool an operation issues to. The core
+// bounds how many operations of each pool start per cycle; UnitALU ops
+// are bounded only by the issue width.
+type Unit uint8
+
+// Functional-unit pools.
+const (
+	UnitALU Unit = iota
+	UnitMem
+	UnitFP
+	UnitDiv
+	NumUnits
+)
+
+// Info is an opcode's row in the op table: everything the core model
+// needs to know about an instruction besides its register numbers,
+// immediate and operand values.
+type Info struct {
+	Class Class
+	// Reads says which of Src1 and Src2 the out-of-order back end
+	// consumes. Sync ops read their base register architecturally at
+	// commit, so they read none here.
+	Reads [2]bool
+	// Writes says whether the op produces a register result; the core
+	// does not rename writes to Zero.
+	Writes bool
+	// Serial marks sync ops and halt: they execute at commit, not in the
+	// issue stage, and nothing younger dispatches until they commit.
+	Serial bool
+	// Unit is the pool the op issues to.
+	Unit Unit
+	// Latency is the execution latency in cycles of an op that completes
+	// on a functional unit. A load's latency is the L1D hit time or the
+	// miss round trip instead, and a nop completes at issue.
+	Latency uint8
+	// A row is padded to eight bytes: the core copies one per
+	// instruction per stage, and eight bytes copy in one move.
+	_ uint8
 }
+
+// Source-operand shapes of the op table.
+var (
+	reads1  = [2]bool{true, false}
+	reads12 = [2]bool{true, true}
+)
+
+// computeTiming gives the functional unit and latency of each class of
+// register-writing ALU, multiply, divide and floating-point ops.
+var computeTiming = [...]struct {
+	unit Unit
+	lat  uint8
+}{
+	ClassIntALU: {UnitALU, 1}, ClassIntMul: {UnitALU, 3}, ClassIntDiv: {UnitDiv, 12},
+	ClassFPAdd: {UnitFP, 2}, ClassFPMul: {UnitFP, 4}, ClassFPDiv: {UnitDiv, 12},
+}
+
+// compute returns the row of a register-writing ALU, multiply, divide or
+// floating-point op of class cls.
+func compute(cls Class, reads [2]bool) Info {
+	t := computeTiming[cls]
+	return Info{Class: cls, Reads: reads, Writes: true, Unit: t.unit, Latency: t.lat}
+}
+
+// opTable holds one row per opcode value. Rows past Halt are zero: an
+// undefined opcode decodes as a nop.
+var opTable = [256]Info{
+	Add: compute(ClassIntALU, reads12), Sub: compute(ClassIntALU, reads12),
+	Mul: compute(ClassIntMul, reads12),
+	Div: compute(ClassIntDiv, reads12), Rem: compute(ClassIntDiv, reads12),
+	And: compute(ClassIntALU, reads12), Or: compute(ClassIntALU, reads12),
+	Xor: compute(ClassIntALU, reads12), Shl: compute(ClassIntALU, reads12),
+	Shr: compute(ClassIntALU, reads12), Slt: compute(ClassIntALU, reads12),
+
+	Addi: compute(ClassIntALU, reads1), Andi: compute(ClassIntALU, reads1),
+	Ori: compute(ClassIntALU, reads1), Xori: compute(ClassIntALU, reads1),
+	Shli: compute(ClassIntALU, reads1), Shri: compute(ClassIntALU, reads1),
+	Slti: compute(ClassIntALU, reads1), Lui: compute(ClassIntALU, [2]bool{}),
+
+	FAdd: compute(ClassFPAdd, reads12), FSub: compute(ClassFPAdd, reads12),
+	FMul: compute(ClassFPMul, reads12),
+	FDiv: compute(ClassFPDiv, reads12), FSqrt: compute(ClassFPDiv, reads1),
+	FNeg: compute(ClassIntALU, reads1), Itof: compute(ClassIntALU, reads1),
+	Ftoi: compute(ClassIntALU, reads1), FLt: compute(ClassIntALU, reads12),
+
+	Load:  {Class: ClassLoad, Reads: reads1, Writes: true, Unit: UnitMem},
+	Store: {Class: ClassStore, Reads: reads12, Unit: UnitMem, Latency: 1},
+
+	Beq: {Class: ClassBranch, Reads: reads12, Latency: 1},
+	Bne: {Class: ClassBranch, Reads: reads12, Latency: 1},
+	Blt: {Class: ClassBranch, Reads: reads12, Latency: 1},
+	Bge: {Class: ClassBranch, Reads: reads12, Latency: 1},
+	Jmp: {Class: ClassBranch, Latency: 1},
+
+	LockAcq: {Class: ClassSync, Serial: true},
+	LockRel: {Class: ClassSync, Serial: true},
+	Barrier: {Class: ClassSync, Serial: true},
+	Halt:    {Class: ClassHalt, Serial: true},
+}
+
+// Info returns op's row of the op table.
+func (op Op) Info() Info { return opTable[op] }
+
+// Class reports the operation class of op.
+func (op Op) Class() Class { return opTable[op].Class }
 
 // IsBranch reports whether op redirects control flow.
 func (op Op) IsBranch() bool { return op.Class() == ClassBranch }

@@ -113,3 +113,133 @@ func TestProgramValidate(t *testing.T) {
 		t.Error("negative branch target not caught")
 	}
 }
+
+// The oracles below are the opcode switches the op table replaced: the
+// class switch, and the core model's operand, destination, issue and
+// latency switches.
+
+func classOracle(op Op) Class {
+	switch op {
+	case Add, Sub, And, Or, Xor, Shl, Shr, Slt,
+		Addi, Andi, Ori, Xori, Shli, Shri, Slti, Lui, Itof, Ftoi, FNeg, FLt:
+		return ClassIntALU
+	case Mul:
+		return ClassIntMul
+	case Div, Rem:
+		return ClassIntDiv
+	case FAdd, FSub:
+		return ClassFPAdd
+	case FMul:
+		return ClassFPMul
+	case FDiv, FSqrt:
+		return ClassFPDiv
+	case Load:
+		return ClassLoad
+	case Store:
+		return ClassStore
+	case Beq, Bne, Blt, Bge, Jmp:
+		return ClassBranch
+	case LockAcq, LockRel, Barrier:
+		return ClassSync
+	case Halt:
+		return ClassHalt
+	}
+	return ClassNop
+}
+
+func readsOracle(op Op) [2]bool {
+	switch classOracle(op) {
+	case ClassIntALU, ClassIntMul, ClassIntDiv, ClassFPAdd, ClassFPMul, ClassFPDiv:
+		switch op {
+		case Lui:
+			return [2]bool{}
+		case Addi, Andi, Ori, Xori, Shli, Shri, Slti, FSqrt, FNeg, Itof, Ftoi:
+			return [2]bool{true, false}
+		}
+		return [2]bool{true, true}
+	case ClassLoad:
+		return [2]bool{true, false}
+	case ClassStore:
+		return [2]bool{true, true}
+	case ClassBranch:
+		if op == Jmp {
+			return [2]bool{}
+		}
+		return [2]bool{true, true}
+	}
+	return [2]bool{}
+}
+
+func writesOracle(op Op) bool {
+	switch classOracle(op) {
+	case ClassIntALU, ClassIntMul, ClassIntDiv, ClassFPAdd, ClassFPMul, ClassFPDiv, ClassLoad:
+		return true
+	}
+	return false
+}
+
+func unitOracle(op Op) Unit {
+	switch classOracle(op) {
+	case ClassLoad, ClassStore:
+		return UnitMem
+	case ClassFPAdd, ClassFPMul:
+		return UnitFP
+	case ClassIntDiv, ClassFPDiv:
+		return UnitDiv
+	}
+	return UnitALU
+}
+
+// latencyOracle is the core's execution latency by class, for the classes
+// that complete on a functional unit (ok false for the others).
+func latencyOracle(op Op) (lat uint8, ok bool) {
+	switch classOracle(op) {
+	case ClassIntALU, ClassBranch, ClassStore:
+		return 1, true
+	case ClassIntMul:
+		return 3, true
+	case ClassIntDiv, ClassFPDiv:
+		return 12, true
+	case ClassFPAdd:
+		return 2, true
+	case ClassFPMul:
+		return 4, true
+	}
+	return 0, false
+}
+
+// TestOpTableMatchesSwitches checks every opcode value's row of the op
+// table against the switches it replaced. Values from numOps up decode as
+// nops: the zero row, executed by the issue stage, reading and writing
+// nothing.
+func TestOpTableMatchesSwitches(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		op := Op(v)
+		row := op.Info()
+		cls := classOracle(op)
+		if row.Class != cls || op.Class() != cls {
+			t.Errorf("%v: class %v, want %v", op, row.Class, cls)
+		}
+		if row.Reads != readsOracle(op) {
+			t.Errorf("%v: reads %v, want %v", op, row.Reads, readsOracle(op))
+		}
+		if row.Writes != writesOracle(op) {
+			t.Errorf("%v: writes %v, want %v", op, row.Writes, writesOracle(op))
+		}
+		if serial := cls == ClassSync || cls == ClassHalt; row.Serial != serial {
+			t.Errorf("%v: serial %v, want %v", op, row.Serial, serial)
+		}
+		if row.Unit != unitOracle(op) {
+			t.Errorf("%v: unit %v, want %v", op, row.Unit, unitOracle(op))
+		}
+		if lat, ok := latencyOracle(op); ok && row.Latency != lat {
+			t.Errorf("%v: latency %d, want %d", op, row.Latency, lat)
+		}
+		if v >= int(numOps) && row != (Info{}) {
+			t.Errorf("undefined opcode %d has row %+v, want the zero (nop) row", v, row)
+		}
+	}
+	if Nop.Info() != (Info{}) {
+		t.Errorf("nop has row %+v, want the zero row", Nop.Info())
+	}
+}

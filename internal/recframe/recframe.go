@@ -72,8 +72,8 @@ func Scan(r io.Reader, fn func(off int64, payload []byte) error) (ScanResult, er
 		if n > MaxRecordLen {
 			return ScanResult{GoodBytes: off, Torn: true}, nil
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, int(n))
+		if err != nil {
 			return ScanResult{GoodBytes: off, Torn: true}, nil
 		}
 		if crc32.Checksum(payload, crcTable) != want {
@@ -84,4 +84,27 @@ func Scan(r io.Reader, fn func(off int64, payload []byte) error) (ScanResult, er
 		}
 		off += int64(HeaderLen) + int64(n)
 	}
+}
+
+// readChunk is the largest payload buffer Scan allocates before the bytes
+// to fill it have arrived.
+const readChunk = 64 << 10
+
+// readPayload reads an n-byte payload. Up to readChunk bytes it reads
+// into one buffer of exactly n bytes; past that the buffer doubles each
+// time it fills, so a header that claims more bytes than follow it costs
+// memory in proportion to the bytes that do follow, not to its claim.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*len(buf))), buf...)
+		}
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

@@ -278,9 +278,10 @@ func (u *Uncore) Reset() {
 // CheckSnapshot reports why s cannot be restored into u, or nil. Restore
 // trusts its snapshot, so one decoded from bytes that crossed a socket or
 // a disk must pass this first: every component present, the L2 of u's
-// geometry, and the status map sized for u's cores (the manager indexes
-// its state vectors by core).
-func (u *Uncore) CheckSnapshot(s *Snapshot) error {
+// geometry, the status map sized for u's cores (the manager indexes its
+// state vectors by core), and bus reservations that a run capped at
+// maxCycles can have made.
+func (u *Uncore) CheckSnapshot(s *Snapshot, maxCycles int64) error {
 	switch {
 	case s == nil || s.bus == nil || s.l2 == nil || s.smap == nil:
 		return fmt.Errorf("uncore snapshot: missing bus, L2 or status map state")
@@ -290,7 +291,7 @@ func (u *Uncore) CheckSnapshot(s *Snapshot) error {
 		return fmt.Errorf("uncore snapshot: status map tracks %d cores, the machine has %d",
 			s.smap.NumCores(), u.smap.NumCores())
 	}
-	return nil
+	return s.bus.CheckReservations(maxCycles)
 }
 
 // Restore overwrites the uncore from a snapshot.

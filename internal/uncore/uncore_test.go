@@ -269,7 +269,7 @@ func TestL2EvictionsHappen(t *testing.T) {
 // status map for the same core count.
 func TestCheckSnapshotRejectsForeignShapes(t *testing.T) {
 	u := newFixture(t, 2).u
-	if err := u.CheckSnapshot(u.Snapshot()); err != nil {
+	if err := u.CheckSnapshot(u.Snapshot(), 1<<40); err != nil {
 		t.Fatalf("own snapshot rejected: %v", err)
 	}
 	bigL2 := DefaultConfig(2)
@@ -285,7 +285,7 @@ func TestCheckSnapshotRejectsForeignShapes(t *testing.T) {
 		"other L2 geometry":  other.Snapshot(),
 		"four-core map":      newFixture(t, 4).u.Snapshot(),
 	} {
-		if err := u.CheckSnapshot(s); err == nil {
+		if err := u.CheckSnapshot(s, 1<<40); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
