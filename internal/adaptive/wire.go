@@ -1,47 +1,32 @@
 package adaptive
 
-import (
-	"bytes"
-	"encoding/gob"
-)
+import "slacksim/internal/wire"
 
-// Wire serialization for run snapshots: the whole controller is plain
-// scalar state plus its (validated) configuration.
-
-type controllerWire struct {
-	Cfg    Config
-	Policy Policy
-	Bound  int64
-
-	Adjustments, Holds uint64
-	BoundSum           float64
-	Samples            uint64
+// Encode appends the controller, configuration first, for a run
+// snapshot.
+func (c *Controller) Encode(w *wire.Writer) {
+	w.Float(c.cfg.TargetRate)
+	w.Float(c.cfg.Band)
+	w.Varint(c.cfg.InitialBound)
+	w.Varint(c.cfg.MinBound)
+	w.Varint(c.cfg.MaxBound)
+	w.Varint(c.cfg.Period)
+	w.Byte(byte(c.policy))
+	w.Varint(c.bound)
+	w.Uvarint(c.Adjustments)
+	w.Uvarint(c.Holds)
+	w.Float(c.boundSum)
+	w.Uvarint(c.samples)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (c *Controller) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(controllerWire{
-		Cfg: c.cfg, Policy: c.policy, Bound: c.bound,
-		Adjustments: c.Adjustments, Holds: c.Holds,
-		BoundSum: c.boundSum, Samples: c.samples,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (c *Controller) GobDecode(data []byte) error {
-	var w controllerWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+// Decode reads a controller written by Encode into c. A configuration
+// that Validate rejects fails the Reader.
+func (c *Controller) Decode(r *wire.Reader) {
+	cfg := Config{TargetRate: r.Float(), Band: r.Float(), InitialBound: r.Varint(),
+		MinBound: r.Varint(), MaxBound: r.Varint(), Period: r.Varint()}
+	*c = Controller{cfg: cfg, policy: Policy(r.Byte()), bound: r.Varint(),
+		Adjustments: r.Uvarint(), Holds: r.Uvarint(), boundSum: r.Float(), samples: r.Uvarint()}
+	if err := cfg.Validate(); err != nil {
+		r.Failf("%w", err)
 	}
-	if err := w.Cfg.Validate(); err != nil {
-		return err
-	}
-	*c = Controller{
-		cfg: w.Cfg, policy: w.Policy, bound: w.Bound,
-		Adjustments: w.Adjustments, Holds: w.Holds,
-		boundSum: w.BoundSum, samples: w.Samples,
-	}
-	return nil
 }

@@ -1,51 +1,31 @@
 package bus
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
+import "slacksim/internal/wire"
 
-	"slacksim/internal/violation"
-)
-
-// Wire serialization for run snapshots. The bus is small and bounded:
-// two reservation windows, the grant-order monitor, and counters.
-
-type busWire struct {
-	ReqRes, RespRes []int64
-	Monitor         violation.Monitor
-	ReqOccupancy    int64
-	RespOccupancy   int64
-
-	Grants, Conflicts, RespConflicts, Violations uint64
+// Encode appends the bus, its two reservation windows first, for a run
+// snapshot.
+func (b *Bus) Encode(w *wire.Writer) {
+	wire.List(w, b.reqRes, w.Varint)
+	wire.List(w, b.respRes, w.Varint)
+	w.Varint(b.monitor.MaxTS)
+	w.Varint(b.ReqOccupancy)
+	w.Varint(b.RespOccupancy)
+	w.Uvarint(b.Grants)
+	w.Uvarint(b.Conflicts)
+	w.Uvarint(b.RespConflicts)
+	w.Uvarint(b.Violations)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (b *Bus) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(busWire{
-		ReqRes: b.reqRes, RespRes: b.respRes, Monitor: b.monitor,
-		ReqOccupancy: b.ReqOccupancy, RespOccupancy: b.RespOccupancy,
-		Grants: b.Grants, Conflicts: b.Conflicts,
-		RespConflicts: b.RespConflicts, Violations: b.Violations,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (b *Bus) GobDecode(data []byte) error {
-	var w busWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+// Decode reads a bus written by Encode into b. A window longer than
+// resWindow, or an occupancy that is not positive, fails the Reader;
+// CheckReservations checks the starts.
+func (b *Bus) Decode(r *wire.Reader) {
+	*b = Bus{reqRes: wire.ReadList(r, "request reservations", resWindow, r.Varint),
+		respRes: wire.ReadList(r, "response reservations", resWindow, r.Varint)}
+	b.monitor.MaxTS = r.Varint()
+	b.ReqOccupancy, b.RespOccupancy = r.Varint(), r.Varint()
+	b.Grants, b.Conflicts, b.RespConflicts, b.Violations = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if r.Err() == nil && (b.ReqOccupancy <= 0 || b.RespOccupancy <= 0) {
+		r.Failf("bus: occupancies %d/%d must be positive", b.ReqOccupancy, b.RespOccupancy)
 	}
-	if w.ReqOccupancy <= 0 || w.RespOccupancy <= 0 {
-		return fmt.Errorf("bus: wire occupancies %d/%d must be positive", w.ReqOccupancy, w.RespOccupancy)
-	}
-	*b = Bus{
-		reqRes: w.ReqRes, respRes: w.RespRes, monitor: w.Monitor,
-		ReqOccupancy: w.ReqOccupancy, RespOccupancy: w.RespOccupancy,
-		Grants: w.Grants, Conflicts: w.Conflicts,
-		RespConflicts: w.RespConflicts, Violations: w.Violations,
-	}
-	return nil
 }

@@ -31,14 +31,14 @@ type Config struct {
 }
 
 // Sets returns the number of sets implied by the configuration.
-func (c Config) Sets() int { return c.SizeBytes / (LineBytes * c.Assoc) }
+func (c Config) Sets() int { return c.SizeBytes / c.Assoc / LineBytes }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: size and associativity must be positive", c.Name)
 	}
-	if c.SizeBytes%(LineBytes*c.Assoc) != 0 {
+	if c.SizeBytes%c.Assoc != 0 || c.SizeBytes/c.Assoc%LineBytes != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by %d-way line groups",
 			c.Name, c.SizeBytes, c.Assoc)
 	}

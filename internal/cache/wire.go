@@ -1,164 +1,130 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
+	"slices"
 
 	"slacksim/internal/coherence"
+	"slacksim/internal/wire"
 )
 
-// Wire serialization for run snapshots (durable checkpoint export /
-// live migration). Each type mirrors its unexported state into an
-// exported struct for encoding/gob; maps are flattened into slices
-// sorted by key so the encoding is deterministic.
+// Bounds on a decoded structure, beyond the bytes it must be backed by:
+// a cache name, the ROB tags waiting on one MSHR, a status map's cores
+// and its lines (every line of a 1 GiB memory image).
+const maxName, maxWaiters, maxCores, maxLines = 64, 1 << 16, 1 << 16, 1 << 24
 
-type cacheWire struct {
-	Cfg    Config
-	LRUClk uint64
-	// Parallel arrays over every line, set-major then way order.
-	Tags   []uint64
-	States []coherence.State
-	LRUs   []uint64
-
-	Hits, Misses, Evictions, Writebacks uint64
+// Encode appends the cache for a run snapshot: its configuration, then
+// every line, set-major then way order.
+func (c *Cache) Encode(w *wire.Writer) {
+	w.String(c.cfg.Name)
+	w.Int(c.cfg.SizeBytes)
+	w.Int(c.cfg.Assoc)
+	w.Int(c.cfg.LatencyCycles)
+	w.Uvarint(c.lruClk)
+	w.Uvarint(uint64(len(c.flat)))
+	for _, l := range c.flat {
+		w.Uvarint(l.tag)
+		w.Byte(byte(l.state))
+		w.Uvarint(l.lru)
+	}
+	w.Uvarint(c.Hits)
+	w.Uvarint(c.Misses)
+	w.Uvarint(c.Evictions)
+	w.Uvarint(c.Writebacks)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (c *Cache) GobEncode() ([]byte, error) {
-	w := cacheWire{
-		Cfg: c.cfg, LRUClk: c.lruClk,
-		Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, Writebacks: c.Writebacks,
+// Decode reads a cache written by Encode into c. A configuration that
+// Validate rejects, or a line count other than the one it implies, fails
+// the Reader before a line is allocated.
+func (c *Cache) Decode(r *wire.Reader) {
+	cfg := Config{Name: r.String("cache name bytes", maxName), SizeBytes: r.Int(), Assoc: r.Int(), LatencyCycles: r.Int()}
+	lruClk := r.Uvarint()
+	if r.Err() != nil {
+		return
 	}
-	n := len(c.sets) * c.cfg.Assoc
-	w.Tags = make([]uint64, 0, n)
-	w.States = make([]coherence.State, 0, n)
-	w.LRUs = make([]uint64, 0, n)
-	for _, set := range c.sets {
-		for i := range set {
-			w.Tags = append(w.Tags, set[i].tag)
-			w.States = append(w.States, set[i].state)
-			w.LRUs = append(w.LRUs, set[i].lru)
-		}
+	if err := cfg.Validate(); err != nil {
+		r.Failf("%w", err)
+		return
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
+	want := cfg.Sets() * cfg.Assoc
+	if n := r.Count("cache lines", want); r.Err() != nil || n != want {
+		r.Failf("cache %s: line count %d, want %d", cfg.Name, n, want)
+		return
+	}
+	*c = *New(cfg)
+	c.lruClk = lruClk
+	for i := range c.flat {
+		c.flat[i] = line{tag: r.Uvarint(), state: coherence.State(r.Byte()), lru: r.Uvarint()}
+	}
+	c.Hits, c.Misses, c.Evictions, c.Writebacks = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
 }
 
-// GobDecode implements gob.GobDecoder, rebuilding the cache in place.
-func (c *Cache) GobDecode(data []byte) error {
-	var w cacheWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if err := w.Cfg.Validate(); err != nil {
-		return err
-	}
-	if want := w.Cfg.Sets() * w.Cfg.Assoc; len(w.Tags) != want ||
-		len(w.States) != want || len(w.LRUs) != want {
-		return fmt.Errorf("cache %s: wire line count %d, want %d", w.Cfg.Name, len(w.Tags), want)
-	}
-	fresh := New(w.Cfg)
-	*c = *fresh
-	c.lruClk = w.LRUClk
-	c.Hits, c.Misses, c.Evictions, c.Writebacks = w.Hits, w.Misses, w.Evictions, w.Writebacks
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{tag: w.Tags[k], state: w.States[k], lru: w.LRUs[k]}
-			k++
-		}
-	}
-	return nil
-}
-
-type mshrWire struct {
-	Cap     int
-	Entries []MSHR
-	Merges  uint64
-	Full    uint64
-}
-
-// GobEncode implements gob.GobEncoder.
-func (f *MSHRFile) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(mshrWire{
-		Cap: f.cap, Entries: f.entries,
-		Merges: f.Merges, Full: f.Full,
+// Encode appends the MSHR file for a run snapshot.
+func (f *MSHRFile) Encode(w *wire.Writer) {
+	w.Int(f.cap)
+	wire.List(w, f.entries, func(e MSHR) {
+		w.Uvarint(e.LineAddr)
+		w.Bool(e.Write)
+		wire.List(w, e.Waiters, w.Int)
+		w.Bool(e.Issued)
+		w.Varint(e.IssueTS)
 	})
-	return buf.Bytes(), err
+	w.Uvarint(f.Merges)
+	w.Uvarint(f.Full)
 }
 
-// GobDecode implements gob.GobDecoder.
-func (f *MSHRFile) GobDecode(data []byte) error {
-	var w mshrWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+// Decode reads an MSHR file written by Encode into f. A capacity that is
+// not positive, or more entries than it, fails the Reader.
+func (f *MSHRFile) Decode(r *wire.Reader) {
+	*f = MSHRFile{cap: r.Int()}
+	if r.Err() == nil && f.cap <= 0 {
+		r.Failf("cache: MSHR capacity %d must be positive", f.cap)
 	}
-	if w.Cap <= 0 {
-		return fmt.Errorf("cache: wire MSHR capacity %d must be positive", w.Cap)
-	}
-	f.cap = w.Cap
-	f.entries = w.Entries
-	f.Merges, f.Full = w.Merges, w.Full
-	return nil
+	f.entries = wire.ReadList(r, "MSHRs", max(f.cap, 0), func() MSHR {
+		return MSHR{LineAddr: r.Uvarint(), Write: r.Bool(),
+			Waiters: wire.ReadList(r, "MSHR waiters", maxWaiters, r.Int), Issued: r.Bool(), IssueTS: r.Varint()}
+	})
+	f.Merges, f.Full = r.Uvarint(), r.Uvarint()
 }
 
-type mapEntryWire struct {
-	Addr      uint64
-	States    []coherence.State
-	MonitorTS int64
-}
-
-type statusMapWire struct {
-	NumCores int
-	Lines    []mapEntryWire
-}
-
-// GobEncode implements gob.GobEncoder. Lines go out sorted by address,
-// whatever their slot order.
-func (m *StatusMap) GobEncode() ([]byte, error) {
-	w := statusMapWire{NumCores: m.numCores, Lines: make([]mapEntryWire, len(m.keys))}
-	for i, la := range m.keys {
-		w.Lines[i] = mapEntryWire{Addr: la, States: m.row(int32(i)), MonitorTS: m.monitorTS[i]}
-	}
-	sort.Slice(w.Lines, func(i, j int) bool { return w.Lines[i].Addr < w.Lines[j].Addr })
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder. A payload naming a line twice, or
-// a state outside MESI, is rejected.
-func (m *StatusMap) GobDecode(data []byte) error {
-	var w statusMapWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if w.NumCores <= 0 {
-		return fmt.Errorf("cache: wire status map has %d cores", w.NumCores)
-	}
-	fresh := NewStatusMap(w.NumCores)
-	for _, e := range w.Lines {
-		if len(e.States) != w.NumCores {
-			return fmt.Errorf("cache: wire status map line %#x has %d states for %d cores",
-				e.Addr, len(e.States), w.NumCores)
+// Encode appends the status map for a run snapshot: its core count, then
+// every line in address order with its per-core states and monitor.
+func (m *StatusMap) Encode(w *wire.Writer) {
+	w.Int(m.numCores)
+	keys := slices.Clone(m.keys)
+	slices.Sort(keys)
+	wire.List(w, keys, func(la uint64) {
+		w.Uvarint(la)
+		for _, s := range m.lookup(la) {
+			w.Byte(byte(s))
 		}
-		if _, dup := fresh.index[e.Addr]; dup {
-			return fmt.Errorf("cache: wire status map names line %#x twice", e.Addr)
+		w.Varint(m.monitorTS[m.index[la]])
+	})
+}
+
+// Decode reads a status map written by Encode into m. A core count that
+// is not positive, lines out of address order or named twice, and a
+// state outside MESI fail the Reader.
+func (m *StatusMap) Decode(r *wire.Reader) {
+	n := r.Int()
+	if r.Err() == nil && (n <= 0 || n > maxCores) {
+		r.Failf("cache: status map has %d cores", n)
+		return
+	}
+	*m = *NewStatusMap(n)
+	for i, lines := 0, r.Count("status map lines", maxLines); i < lines && r.Err() == nil; i++ {
+		la := r.Uvarint()
+		if i > 0 && la <= m.keys[i-1] {
+			r.Failf("cache: status map names line %#x twice or out of order", la)
 		}
-		for c, s := range e.States {
-			if s > coherence.Modified {
-				return fmt.Errorf("cache: wire status map line %#x core %d has state %d, not MESI", e.Addr, c, s)
+		m.index[la] = int32(i)
+		m.keys = append(m.keys, la)
+		for c := 0; c < n; c++ {
+			if s := coherence.State(r.Byte()); s <= coherence.Modified {
+				m.states = append(m.states, s)
+			} else {
+				r.Failf("cache: status map line %#x core %d has state %d, not MESI", la, c, s)
 			}
 		}
-		fresh.index[e.Addr] = int32(len(fresh.keys))
-		fresh.keys = append(fresh.keys, e.Addr)
-		fresh.states = append(fresh.states, e.States...)
-		fresh.monitorTS = append(fresh.monitorTS, e.MonitorTS)
+		m.monitorTS = append(m.monitorTS, r.Varint())
 	}
-	*m = *fresh
-	return nil
 }

@@ -2,23 +2,32 @@ package cache
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
-	"os"
-	"os/exec"
+	"strings"
 	"testing"
 
 	"slacksim/internal/coherence"
+	"slacksim/internal/wire"
 )
 
-func gobRoundTrip[T any](t *testing.T, in T, out T) {
+// codec is a structure with a snapshot encoding.
+type codec interface {
+	Encode(*wire.Writer)
+	Decode(*wire.Reader)
+}
+
+func encode(v codec) []byte {
+	w := new(wire.Writer)
+	v.Encode(w)
+	return w.Bytes()
+}
+
+// roundTrip decodes in's encoding into out.
+func roundTrip(t *testing.T, in, out codec) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(out); err != nil {
-		t.Fatalf("decode: %v", err)
+	r := wire.NewReader(encode(in))
+	if out.Decode(r); r.Done() != nil {
+		t.Fatalf("decode: %v", r.Err())
 	}
 }
 
@@ -29,7 +38,7 @@ func TestCacheWireRoundTrip(t *testing.T) {
 		c.Probe(i*7, i%2 == 0)
 	}
 	var got Cache
-	gobRoundTrip(t, c, &got)
+	roundTrip(t, c, &got)
 	if !c.Equal(&got) {
 		t.Fatal("cache did not survive the wire round trip")
 	}
@@ -46,7 +55,7 @@ func TestMSHRWireRoundTrip(t *testing.T) {
 	f.Allocate(100, true, 4, 51) // merge
 	f.Allocate(200, true, 7, 60)
 	var got MSHRFile
-	gobRoundTrip(t, f, &got)
+	roundTrip(t, f, &got)
 	if !f.Equal(&got) {
 		t.Fatal("MSHR file did not survive the wire round trip")
 	}
@@ -58,7 +67,7 @@ func TestStatusMapWireRoundTrip(t *testing.T) {
 	m.Apply(10, 1, coherence.Shared, 9)
 	m.Apply(77, 3, coherence.Exclusive, 2)
 	var got StatusMap
-	gobRoundTrip(t, m, &got)
+	roundTrip(t, m, &got)
 	if !m.Equal(&got) {
 		t.Fatal("status map did not survive the wire round trip")
 	}
@@ -67,23 +76,11 @@ func TestStatusMapWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatusMapGobEncodeIsStable pins the wire form: snapshots written
-// before the map was stored flat must keep decoding, and the same
-// contents must encode to the same bytes, lines sorted by address. want
-// is the encoding of the earlier map-of-entries layout. gob numbers types
-// per process in the order they are first encoded, so the bytes are
-// compared in a child process that encodes nothing else first.
-func TestStatusMapGobEncodeIsStable(t *testing.T) {
-	const child = "SLACKSIM_STATUSMAP_WIRE_CHILD"
-	if os.Getenv(child) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestStatusMapGobEncodeIsStable$", "-test.count=1")
-		cmd.Env = append(os.Environ(), child+"=1")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("child: %v\n%s", err, out)
-		}
-		return
-	}
-	const want = "327f0301010d7374617475734d61705769726501ff8000010201084e756d436f72657301040001054c696e657301ff8400000023ff83020101145b5d63616368652e6d6170456e7472795769726501ff840001ff8200003cff810301010c6d6170456e7472795769726501ff820001030104416464720106000106537461746573010a0001094d6f6e69746f725453010400000037ff800108010401020104030000000102000110010401010000010e0001fe440001040000000001180001fe900001040000030001500000"
+// TestStatusMapEncodeIsStable pins the wire form: the same contents must
+// encode to the same bytes whatever their slot order, lines sorted by
+// address, and decode back to an equal map.
+func TestStatusMapEncodeIsStable(t *testing.T) {
+	const want = "080402030000000210010100000e808801000000001880a0020000030050"
 	m := NewStatusMap(4)
 	m.Apply(0x9000, 2, coherence.Modified, 40)
 	m.Apply(0x10, 0, coherence.Shared, 5)
@@ -91,58 +88,116 @@ func TestStatusMapGobEncodeIsStable(t *testing.T) {
 	m.Apply(0x4400, 3, coherence.Exclusive, 12)
 	m.Apply(0x4400, 3, coherence.Invalid, 11)
 	m.Apply(0x2, 0, coherence.Modified, 1)
-	b, err := m.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encode(m)
 	if got := hex.EncodeToString(b); got != want {
 		t.Fatalf("encoding changed:\ngot  %s\nwant %s", got, want)
 	}
 	var back StatusMap
-	if err := back.GobDecode(b); err != nil || !back.Equal(m) {
-		t.Fatalf("decode: err %v, equal %v", err, err == nil && back.Equal(m))
+	r := wire.NewReader(b)
+	if back.Decode(r); r.Done() != nil || !back.Equal(m) {
+		t.Fatalf("decode: err %v, equal %v", r.Err(), r.Err() == nil && back.Equal(m))
 	}
 }
 
 // TestStatusMapWireRejectsHostileLines: a payload naming a line twice or
-// carrying a state outside MESI must not decode.
+// out of order, carrying a state outside MESI, or shaped for no cores
+// must not decode.
 func TestStatusMapWireRejectsHostileLines(t *testing.T) {
-	for name, lines := range map[string][]mapEntryWire{
-		"repeated line": {
-			{Addr: 7, States: []coherence.State{coherence.Shared, coherence.Invalid}},
-			{Addr: 7, States: []coherence.State{coherence.Invalid, coherence.Shared}},
-		},
-		"state 4": {{Addr: 7, States: []coherence.State{coherence.Modified + 1, coherence.Invalid}}},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(statusMapWire{NumCores: 2, Lines: lines}); err != nil {
-			t.Fatal(err)
+	lines := func(cores int, rows ...[]uint64) []byte {
+		w := new(wire.Writer)
+		w.Int(cores)
+		w.Uvarint(uint64(len(rows)))
+		for _, row := range rows {
+			w.Uvarint(row[0])
+			for _, s := range row[1:] {
+				w.Byte(byte(s))
+			}
+			w.Varint(-1)
 		}
-		if err := new(StatusMap).GobDecode(buf.Bytes()); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		return w.Bytes()
+	}
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"repeated line": {lines(2, []uint64{7, 1, 0}, []uint64{7, 0, 1}), "twice"},
+		"out of order":  {lines(2, []uint64{9, 1, 0}, []uint64{7, 0, 1}), "out of order"},
+		"state 4":       {lines(2, []uint64{7, 4, 0}), "not MESI"},
+		"no cores":      {lines(0), "has 0 cores"},
+	} {
+		r := wire.NewReader(tc.data)
+		if new(StatusMap).Decode(r); r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, r.Err(), tc.want)
 		}
 	}
 }
 
-// TestMSHRWireIgnoresVersion: MSHR files encoded with the mutation
-// counter the wire form used to carry still decode.
-func TestMSHRWireIgnoresVersion(t *testing.T) {
-	type versioned struct {
-		Cap          int
-		Entries      []MSHR
-		Merges, Full uint64
-		Version      uint64
+// TestCacheWireRejectsHostileShapes: a geometry Validate rejects, one
+// whose set count would overflow the line arithmetic, and a line count
+// other than the geometry's must fail before a line is allocated.
+func TestCacheWireRejectsHostileShapes(t *testing.T) {
+	cache := func(size, assoc, lines int) []byte {
+		w := new(wire.Writer)
+		w.String("l2")
+		w.Int(size)
+		w.Int(assoc)
+		w.Int(1)
+		w.Uvarint(0)
+		w.Uvarint(uint64(lines))
+		return append(w.Bytes(), make([]byte, 3*64)...)
 	}
-	var buf bytes.Buffer
-	in := versioned{Cap: 4, Entries: []MSHR{{LineAddr: 9, Waiters: []int{1}}}, Merges: 2, Version: 17}
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"zero ways":         {cache(4096, 0, 0), "must be positive"},
+		"overflowing ways":  {cache(1<<62, 1<<58, 0), "not divisible"},
+		"short line count":  {cache(4096, 2, 63), "line count 63, want 64"},
+		"lines not present": {cache(1<<40, 2, 1<<34), "bytes left"},
+	} {
+		r := wire.NewReader(tc.data)
+		if new(Cache).Decode(r); r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, r.Err(), tc.want)
+		}
 	}
-	var f MSHRFile
-	if err := f.GobDecode(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if f.Cap() != 4 || f.Len() != 1 || f.Lookup(9) == nil || f.Merges != 2 {
-		t.Fatalf("decoded file = cap %d, %d entries, merges %d", f.Cap(), f.Len(), f.Merges)
-	}
+}
+
+// fuzzCanonical fuzzes a decoder: it must never panic, and whatever it
+// accepts must re-encode to exactly the input, since the encoding is
+// canonical.
+func fuzzCanonical(f *testing.F, seed codec, fresh func() codec) {
+	good := encode(seed)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, r := fresh(), wire.NewReader(data)
+		if v.Decode(r); r.Done() != nil {
+			return
+		}
+		if enc := encode(v); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x, which re-encodes to %x", data, enc)
+		}
+	})
+}
+
+func FuzzCacheWire(f *testing.F) {
+	c := New(Config{Name: "l1", SizeBytes: 1 << 10, Assoc: 2, LatencyCycles: 1})
+	c.Insert(12, coherence.Exclusive)
+	c.Probe(12, false)
+	fuzzCanonical(f, c, func() codec { return new(Cache) })
+}
+
+func FuzzMSHRWire(f *testing.F) {
+	m := NewMSHRFile(4)
+	m.Allocate(100, false, 3, 50)
+	m.Allocate(100, true, 4, 51)
+	fuzzCanonical(f, m, func() codec { return new(MSHRFile) })
+}
+
+func FuzzStatusMapWire(f *testing.F) {
+	m := NewStatusMap(2)
+	m.Apply(10, 0, coherence.Modified, 5)
+	m.Apply(3, 1, coherence.Shared, 9)
+	fuzzCanonical(f, m, func() codec { return new(StatusMap) })
 }

@@ -24,7 +24,7 @@ type harness struct {
 	served  int
 }
 
-func newHarness(t *testing.T, build func(b *isa.Builder)) *harness {
+func newHarness(t testing.TB, build func(b *isa.Builder)) *harness {
 	t.Helper()
 	b := isa.NewBuilder("test")
 	build(b)
@@ -35,7 +35,7 @@ func newHarness(t *testing.T, build func(b *isa.Builder)) *harness {
 	return newHarnessProg(t, prog)
 }
 
-func newHarnessProg(t *testing.T, prog *isa.Program) *harness {
+func newHarnessProg(t testing.TB, prog *isa.Program) *harness {
 	t.Helper()
 	h := &harness{
 		mem:     mem.New(),

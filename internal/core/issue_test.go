@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -14,6 +12,7 @@ import (
 	"slacksim/internal/isa"
 	"slacksim/internal/mem"
 	"slacksim/internal/syncctl"
+	"slacksim/internal/wire"
 )
 
 // The reference stages below are the pipeline before its bitsets and
@@ -258,17 +257,15 @@ func (b *noisyBus) load(s busState) {
 	b.outQ.Restore(s.outQ)
 }
 
-// viaWire round-trips a snapshot through its gob form, which carries no
+// viaWire round-trips a snapshot through its wire form, which carries no
 // wakeup state.
 func viaWire(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	out := new(Snapshot)
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatal(err)
+	w := new(wire.Writer)
+	s.Encode(w)
+	out, r := new(Snapshot), wire.NewReader(w.Bytes())
+	if out.Decode(r); r.Done() != nil {
+		t.Fatal(r.Err())
 	}
 	return out
 }

@@ -1,160 +1,111 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"slacksim/internal/cache"
 	"slacksim/internal/isa"
+	"slacksim/internal/wire"
 )
 
-// Wire serialization for run snapshots. A core.Snapshot already is the
-// deep-copied checkpoint state, so it is the unit of export: the engine
-// serializes the per-core snapshots it holds at a checkpoint boundary.
-// The nested cache/MSHR/predictor structures carry their own gob
-// methods.
+// Bounds on a decoded snapshot, beyond the bytes it must be backed by.
+// CheckSnapshot holds a snapshot to the core's own ROB and fetch buffer
+// sizes.
+const maxWindow, maxPredictor = 1 << 16, 1 << 20
 
-type robEntryWire struct {
-	Seq   int
-	PC    int
-	Inst  isa.Inst
-	State uint8
-
-	SrcProd [2]int
-
-	DoneAt    int64
-	Result    uint64
-	HasResult bool
-
-	PredTaken   bool
-	ActualTaken bool
-	Resolved    bool
-
-	Addr      uint64
-	AddrValid bool
-	StoreVal  uint64
-	Written   bool
-
-	BarrierGen     uint64
-	BarrierArrived bool
-	NextLockTry    int64
-}
-
-func wireROBEntry(e *robEntry) robEntryWire {
-	return robEntryWire{
-		Seq: e.seq, PC: e.pc, Inst: e.inst, State: uint8(e.state),
-		SrcProd: e.srcProd, DoneAt: e.doneAt, Result: e.result, HasResult: e.hasResult,
-		PredTaken: e.predTaken, ActualTaken: e.actualTaken, Resolved: e.resolved,
-		Addr: e.addr, AddrValid: e.addrValid, StoreVal: e.storeVal, Written: e.written,
-		BarrierGen: e.barrierGen, BarrierArrived: e.barrierArrived, NextLockTry: e.nextLockTry,
+// Encode appends the snapshot for a run snapshot: a core.Snapshot already
+// is the checkpointed state, so it is the unit of export. The wakeup
+// state of ROB entries is left out; Restore rebuilds it.
+func (s *Snapshot) Encode(w *wire.Writer) {
+	st := &s.stats
+	for _, v := range [...]int64{s.now, int64(s.fetchPC), s.fetchStallUntil, int64(s.serializeSeq), int64(s.nextSeq),
+		st.Cycles, st.BarrierWait, st.LockWait, st.IdleAfterEnd} {
+		w.Varint(v)
 	}
-}
-
-func (w robEntryWire) entry() robEntry {
-	return robEntry{
-		seq: w.Seq, pc: w.PC, inst: w.Inst, state: entryState(w.State),
-		srcProd: w.SrcProd, doneAt: w.DoneAt, result: w.Result, hasResult: w.HasResult,
-		predTaken: w.PredTaken, actualTaken: w.ActualTaken, resolved: w.Resolved,
-		addr: w.Addr, addrValid: w.AddrValid, storeVal: w.StoreVal, written: w.Written,
-		barrierGen: w.BarrierGen, barrierArrived: w.BarrierArrived, nextLockTry: w.NextLockTry,
+	for _, v := range [...]uint64{s.reqID, st.Committed, st.Loads, st.Stores, st.Branches, st.Mispredicts, st.Flushes, st.LockRetries} {
+		w.Uvarint(v)
 	}
-}
-
-type fetchedWire struct {
-	PC        int
-	Inst      isa.Inst
-	PredTaken bool
-}
-
-type predictorWire struct {
-	Counters []uint8
-	Mask     int
-
-	Lookups, Mispredicts uint64
-}
-
-// GobEncode implements gob.GobEncoder.
-func (p *Predictor) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(predictorWire{
-		Counters: p.counters, Mask: p.mask,
-		Lookups: p.Lookups, Mispredicts: p.Mispredicts,
+	w.Bool(s.halted)
+	for i := range s.regs {
+		w.Uvarint(s.regs[i])
+		w.Int(s.mapTable[i])
+	}
+	wire.List(w, s.rob, func(e robEntry) {
+		for _, v := range [...]int64{int64(e.seq), int64(e.pc), int64(e.srcProd[0]), int64(e.srcProd[1]), e.doneAt, e.nextLockTry} {
+			w.Varint(v)
+		}
+		for _, v := range [...]uint64{e.result, e.addr, e.storeVal, e.barrierGen} {
+			w.Uvarint(v)
+		}
+		for _, b := range [...]bool{e.hasResult, e.predTaken, e.actualTaken, e.resolved, e.addrValid, e.written, e.barrierArrived} {
+			w.Bool(b)
+		}
+		w.Byte(byte(e.state))
+		encodeInst(w, e.inst)
 	})
-	return buf.Bytes(), err
+	wire.List(w, s.fetchBuf, func(f fetched) {
+		w.Int(f.pc)
+		w.Bool(f.predTaken)
+		encodeInst(w, f.inst)
+	})
+	s.l1i.Encode(w)
+	s.l1d.Encode(w)
+	s.imshr.Encode(w)
+	s.dmshr.Encode(w)
+	s.pred.Encode(w)
 }
 
-// GobDecode implements gob.GobDecoder.
-func (p *Predictor) GobDecode(data []byte) error {
-	var w predictorWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+// Decode reads a snapshot written by Encode into s. What the snapshot
+// holds is CheckSnapshot's to judge.
+func (s *Snapshot) Decode(r *wire.Reader) {
+	*s = Snapshot{l1i: new(cache.Cache), l1d: new(cache.Cache), imshr: new(cache.MSHRFile), dmshr: new(cache.MSHRFile), pred: new(Predictor)}
+	st := &s.stats
+	s.now, s.fetchPC, s.fetchStallUntil, s.serializeSeq, s.nextSeq = r.Varint(), r.Int(), r.Varint(), r.Int(), r.Int()
+	st.Cycles, st.BarrierWait, st.LockWait, st.IdleAfterEnd = r.Varint(), r.Varint(), r.Varint(), r.Varint()
+	s.reqID, st.Committed, st.Loads, st.Stores = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	st.Branches, st.Mispredicts, st.Flushes, st.LockRetries = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	s.halted = r.Bool()
+	for i := range s.regs {
+		s.regs[i], s.mapTable[i] = r.Uvarint(), r.Int()
 	}
-	*p = Predictor{counters: w.Counters, mask: w.Mask, Lookups: w.Lookups, Mispredicts: w.Mispredicts}
-	return nil
+	s.rob = wire.ReadList(r, "ROB entries", maxWindow, func() (e robEntry) {
+		e.seq, e.pc, e.srcProd[0], e.srcProd[1], e.doneAt, e.nextLockTry = r.Int(), r.Int(), r.Int(), r.Int(), r.Varint(), r.Varint()
+		e.result, e.addr, e.storeVal, e.barrierGen = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+		e.hasResult, e.predTaken, e.actualTaken, e.resolved = r.Bool(), r.Bool(), r.Bool(), r.Bool()
+		e.addrValid, e.written, e.barrierArrived = r.Bool(), r.Bool(), r.Bool()
+		e.state, e.inst = entryState(r.Byte()), decodeInst(r)
+		return e
+	})
+	s.fetchBuf = wire.ReadList(r, "fetch buffer entries", maxWindow, func() fetched {
+		return fetched{pc: r.Int(), predTaken: r.Bool(), inst: decodeInst(r)}
+	})
+	s.l1i.Decode(r)
+	s.l1d.Decode(r)
+	s.imshr.Decode(r)
+	s.dmshr.Decode(r)
+	s.pred.Decode(r)
 }
 
-type snapshotWire struct {
-	Now      int64
-	Regs     [isa.NumRegs]uint64
-	MapTable [isa.NumRegs]int
-	ROB      []robEntryWire
-	FetchBuf []fetchedWire
-
-	FetchPC         int
-	FetchStallUntil int64
-	SerializeSeq    int
-	NextSeq         int
-	Halted          bool
-	ReqID           uint64
-	Stats           Stats
-
-	L1I, L1D     *cache.Cache
-	IMSHR, DMSHR *cache.MSHRFile
-	Pred         *Predictor
+func encodeInst(w *wire.Writer, in isa.Inst) {
+	w.Byte(byte(in.Op))
+	w.Byte(byte(in.Dst))
+	w.Byte(byte(in.Src1))
+	w.Byte(byte(in.Src2))
+	w.Varint(in.Imm)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (s *Snapshot) GobEncode() ([]byte, error) {
-	w := snapshotWire{
-		Now: s.now, Regs: s.regs, MapTable: s.mapTable,
-		FetchPC: s.fetchPC, FetchStallUntil: s.fetchStallUntil,
-		SerializeSeq: s.serializeSeq, NextSeq: s.nextSeq,
-		Halted: s.halted, ReqID: s.reqID, Stats: s.stats,
-		L1I: s.l1i, L1D: s.l1d, IMSHR: s.imshr, DMSHR: s.dmshr, Pred: s.pred,
-	}
-	w.ROB = make([]robEntryWire, len(s.rob))
-	for i := range s.rob {
-		w.ROB[i] = wireROBEntry(&s.rob[i])
-	}
-	w.FetchBuf = make([]fetchedWire, len(s.fetchBuf))
-	for i, f := range s.fetchBuf {
-		w.FetchBuf[i] = fetchedWire{PC: f.pc, Inst: f.inst, PredTaken: f.predTaken}
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
+func decodeInst(r *wire.Reader) isa.Inst {
+	return isa.Inst{Op: isa.Op(r.Byte()), Dst: isa.Reg(r.Byte()), Src1: isa.Reg(r.Byte()), Src2: isa.Reg(r.Byte()), Imm: r.Varint()}
 }
 
-// GobDecode implements gob.GobDecoder.
-func (s *Snapshot) GobDecode(data []byte) error {
-	var w snapshotWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	*s = Snapshot{
-		now: w.Now, regs: w.Regs, mapTable: w.MapTable,
-		fetchPC: w.FetchPC, fetchStallUntil: w.FetchStallUntil,
-		serializeSeq: w.SerializeSeq, nextSeq: w.NextSeq,
-		halted: w.Halted, reqID: w.ReqID, stats: w.Stats,
-		l1i: w.L1I, l1d: w.L1D, imshr: w.IMSHR, dmshr: w.DMSHR, pred: w.Pred,
-	}
-	s.rob = make([]robEntry, len(w.ROB))
-	for i := range w.ROB {
-		s.rob[i] = w.ROB[i].entry()
-	}
-	s.fetchBuf = make([]fetched, len(w.FetchBuf))
-	for i, f := range w.FetchBuf {
-		s.fetchBuf[i] = fetched{pc: f.PC, inst: f.Inst, predTaken: f.PredTaken}
-	}
-	return nil
+// Encode appends the predictor for a run snapshot.
+func (p *Predictor) Encode(w *wire.Writer) {
+	w.String(string(p.counters))
+	w.Int(p.mask)
+	w.Uvarint(p.Lookups)
+	w.Uvarint(p.Mispredicts)
+}
+
+// Decode reads a predictor written by Encode into p.
+func (p *Predictor) Decode(r *wire.Reader) {
+	*p = Predictor{counters: []uint8(r.String("predictor counters", maxPredictor)),
+		mask: r.Int(), Lookups: r.Uvarint(), Mispredicts: r.Uvarint()}
 }

@@ -12,20 +12,23 @@ import (
 // of one in-flight run, produced at a checkpoint boundary and resumable
 // on any node. Layout:
 //
-//	magic "SLKSNAP1" (8 bytes)
+//	magic "SLKSNAP2" (8 bytes)
 //	CRC-framed record: JSON header {format, key, spec}
 //	CRC-framed record: opaque engine state (internal/engine's versioned
-//	                   gob stream)
+//	                   payload in the internal/wire codec)
 //
 // The header carries the full normalized spec, so a receiving node can
 // rebuild the machine (workload, cores, scheme) without any side
 // channel, and the spec digest, so stores and caches key the eventual
 // result identically to an uninterrupted run.
-var snapshotMagic = []byte("SLKSNAP1")
+//
+// Snapshots are live hand-offs between nodes; nothing stores them, so a
+// container of the gob-encoded SLKSNAP1 format is refused, not read.
+var snapshotMagic, oldSnapshotMagic = []byte("SLKSNAP2"), []byte("SLKSNAP1")
 
 // SnapshotFormat versions the container layout (the engine payload
 // carries its own version).
-const SnapshotFormat = 1
+const SnapshotFormat = 2
 
 // Snapshot is a decoded run-snapshot container.
 type Snapshot struct {
@@ -68,7 +71,10 @@ func EncodeSnapshot(sp spec.Spec, engine []byte) ([]byte, error) {
 
 // DecodeSnapshot parses and checksums a snapshot container.
 func DecodeSnapshot(blob []byte) (*Snapshot, error) {
-	if len(blob) < len(snapshotMagic) || !bytes.Equal(blob[:len(snapshotMagic)], snapshotMagic) {
+	if bytes.HasPrefix(blob, oldSnapshotMagic) {
+		return nil, fmt.Errorf("durable: SLKSNAP1 run snapshot (gob engine state) is no longer supported; this build reads SLKSNAP2")
+	}
+	if !bytes.HasPrefix(blob, snapshotMagic) {
 		return nil, fmt.Errorf("durable: not a run snapshot (bad magic)")
 	}
 	var records [][]byte

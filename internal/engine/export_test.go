@@ -1,99 +1,93 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
-
+	"slacksim/internal/adaptive"
 	"slacksim/internal/core"
 	"slacksim/internal/event"
+	"slacksim/internal/mem"
+	"slacksim/internal/syncctl"
+	"slacksim/internal/uncore"
+	"slacksim/internal/violation"
+	"slacksim/internal/wire"
 )
 
-// RewriteCoreSnapshots decodes an exported run of a numCores-core machine,
-// passes every core snapshot's wire form through edit, and encodes the run
-// again around the edited snapshots. Tests use it to forge hostile resume
-// payloads from real ones.
-func RewriteCoreSnapshots(state []byte, numCores int, edit func(core int, wire []byte) ([]byte, error)) ([]byte, error) {
-	st, err := decodeRunState(state, numCores)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range st.cores {
-		wire, err := s.GobEncode()
-		if err != nil {
-			return nil, err
-		}
-		if wire, err = edit(i, wire); err != nil {
-			return nil, err
-		}
-		st.cores[i] = new(core.Snapshot)
-		if err := st.cores[i].GobDecode(wire); err != nil {
-			return nil, err
-		}
-	}
-	return st.encode()
+// Forgery is a decoded exported run that a hostile-payload test edits
+// before Forge encodes it again with the real codec.
+type Forgery struct {
+	Cores    []*core.Snapshot
+	Uncore   *uncore.Snapshot
+	Memory   *mem.Memory
+	Sync     *syncctl.Controller
+	Detector *violation.Detector
+	InQs     [][]event.Msg
+	OutQs    [][]event.Request
+	// Controller is nil unless the run is adaptive.
+	Controller *adaptive.Controller
+
+	// The pacing scalars a forgery edits.
+	Global, CoreCycles int64
+	Arrival, RNGDraws  uint64
+	P2PNext            []int64
+	P2PPartner         []int
+	P2PBlocked         []bool
+
+	// Sections maps a component's name ("memory", "sync", ...) to bytes
+	// spliced in unchecked in place of its encoding.
+	Sections map[string][]byte
+
+	run *detRun
 }
 
-// RunHeader and PendingWire name an exported run's header and its GQ
-// entries' wire form for hostile-payload tests.
-type (
-	RunHeader   = engineHeader
-	PendingWire = pendingWire
-)
-
-// RewriteRunState decodes an exported run of a numCores-core machine,
-// passes its header and its per-core in- and out-queues through edit, and
-// encodes the run again. Tests use it to forge hostile resume payloads
-// from real ones.
-func RewriteRunState(state []byte, numCores int, edit func(h *RunHeader, inQs [][]event.Msg, outQs [][]event.Request)) ([]byte, error) {
-	st, err := decodeRunState(state, numCores)
-	if err != nil {
-		return nil, err
-	}
-	edit(&st.hdr, st.inQs, st.outs)
-	return st.encode()
+// AppendGQ adds a request with arrival stamp arr to the forged GQ.
+func (f *Forgery) AppendGQ(req event.Request, arr uint64) {
+	f.run.gq = append(f.run.gq, pendingReq{req, arr})
 }
 
-// rawWire is a component's wire form carried through the gob stream as
-// is, so a test can splice in bytes the component's own decoder rejects.
-type rawWire []byte
-
-func (w rawWire) GobEncode() ([]byte, error) { return w, nil }
-
-// RewriteComponent decodes an exported run of a numCores-core machine,
-// passes the wire form of the named component ("uncore", "memory" or
-// "sync") through edit, and encodes the run again with the edited bytes
-// spliced in unchecked. Tests use it to forge hostile resume payloads
-// from real ones.
-func RewriteComponent(state []byte, numCores int, name string, edit func(wire []byte) ([]byte, error)) ([]byte, error) {
-	st, err := decodeRunState(state, numCores)
+// Forge decodes an exported run of a numCores-core machine, passes it
+// through edit, and encodes it again.
+func Forge(state []byte, numCores int, edit func(*Forgery)) ([]byte, error) {
+	run := new(detRun)
+	st, err := decodeRunState(state, numCores, run)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(&st.hdr); err != nil {
-		return nil, err
+	f := &Forgery{Cores: st.cores, Uncore: st.unc, Memory: st.mem, Sync: st.sync, Detector: st.det,
+		InQs: st.inQs, OutQs: st.outs, Controller: st.ctrl, Global: run.global, CoreCycles: run.meter.coreCycles,
+		Arrival: run.arrival, RNGDraws: st.rngDraws, P2PNext: run.p2pNext, P2PPartner: run.p2pPartner,
+		P2PBlocked: run.p2pBlocked, Sections: map[string][]byte{}, run: run}
+	edit(f)
+	st.cores, st.unc, st.mem, st.sync, st.det, st.inQs, st.outs = f.Cores, f.Uncore, f.Memory, f.Sync, f.Detector, f.InQs, f.OutQs
+	st.ctrl = f.Controller
+	run.global, run.meter.coreCycles, run.arrival, st.rngDraws = f.Global, f.CoreCycles, f.Arrival, f.RNGDraws
+	run.p2pNext, run.p2pPartner, run.p2pBlocked = f.P2PNext, f.P2PPartner, f.P2PBlocked
+	out := st.encode()
+	if len(f.Sections) == 0 {
+		return out, nil
 	}
-	for _, c := range st.components() {
-		v := c.v
-		if c.name == name {
-			wire, err := v.(gob.GobEncoder).GobEncode()
-			if err != nil {
-				return nil, err
-			}
-			if wire, err = edit(wire); err != nil {
-				return nil, err
-			}
-			v = rawWire(wire)
-		}
-		if err := enc.Encode(v); err != nil {
-			return nil, err
+	// Re-encode section by section: the header is what precedes the
+	// first component's encoding.
+	cs := st.components()
+	rest := 0
+	for _, c := range cs {
+		w := new(wire.Writer)
+		c.encode(w)
+		rest += len(w.Bytes())
+	}
+	out = out[:len(out)-rest]
+	for _, c := range cs {
+		w := new(wire.Writer)
+		if c.encode(w); f.Sections[c.name] != nil {
+			out = append(out, f.Sections[c.name]...)
+		} else {
+			out = append(out, w.Bytes()...)
 		}
 	}
-	if st.hdr.HasCtrl {
-		if err := enc.Encode(st.ctrl); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	return out, nil
+}
+
+// Section returns a component's own encoding, for splicing into Sections.
+func Section(encode func(*wire.Writer)) []byte {
+	w := new(wire.Writer)
+	encode(w)
+	return w.Bytes()
 }

@@ -482,11 +482,7 @@ func (r *detRun) atBoundary() error {
 	r.nextCkpt += r.cfg.CheckpointInterval
 	if r.cfg.snapshotRequested() {
 		// The run is quiesced and checkpointed: export the state and stop.
-		state, err := r.exportSnapshot()
-		if err != nil {
-			return err
-		}
-		r.cfg.OnSnapshot(state)
+		r.cfg.OnSnapshot(r.exportSnapshot())
 		return ErrSnapshotted
 	}
 	return nil

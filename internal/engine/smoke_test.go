@@ -6,7 +6,7 @@ import (
 	"slacksim/internal/workload"
 )
 
-func newTestMachine(t *testing.T, w Workload, cores int) *Machine {
+func newTestMachine(t testing.TB, w Workload, cores int) *Machine {
 	t.Helper()
 	cfg := MachineConfig{NumCores: cores}
 	m, err := NewMachine(cfg, w)

@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"slacksim/internal/adaptive"
 	"slacksim/internal/coherence"
@@ -18,10 +15,8 @@ import (
 	"slacksim/internal/trace"
 	"slacksim/internal/uncore"
 	"slacksim/internal/violation"
+	"slacksim/internal/wire"
 )
-
-// encBufPool recycles snapshot-encode buffers across exports.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ErrSnapshotted reports that a run stopped at a checkpoint boundary to
 // export its state (RunConfig.SnapshotRequest): the serialized state was
@@ -31,7 +26,7 @@ var ErrSnapshotted = errors.New("engine: run snapshotted at checkpoint boundary"
 
 // EngineStateVersion versions the serialized engine state produced by
 // snapshot export (bump on any layout change; Resume rejects mismatches).
-const EngineStateVersion = 1
+const EngineStateVersion = 2
 
 // countingSource wraps a rand.Source and counts Int63 draws so a run's
 // RNG position can be exported and fast-forwarded on resume.
@@ -66,99 +61,17 @@ func (cfg RunConfig) snapshotRequested() bool {
 	return cfg.SnapshotRequest != nil && cfg.SnapshotRequest.Load() && cfg.OnSnapshot != nil
 }
 
-// meterWire mirrors costMeter for serialization.
-type meterWire struct {
-	CoreCycles  int64
-	Events      uint64
-	Suspensions uint64
-	ViolChecked uint64
-	AdaptOps    uint64
-	CkptWords   int64
-	RbackWords  int64
-}
-
-// pendingWire mirrors pendingReq for serialization.
-type pendingWire struct {
-	Req event.Request
-	Arr uint64
-}
-
-// engineHeader carries the run's scalar pacing state. The component
-// states (cores, uncore, memory, synchronization, violations, adaptive
-// controller, event queues) follow it in the gob stream as separate
-// values, each with its own wire method.
-type engineHeader struct {
-	Version  int
-	Seed     int64
-	NumCores int
-	Scheme   string
-
-	Global  int64
-	Bound   int64
-	Retired []bool
-	GQ      []pendingWire
-	Arrival uint64
-
-	P2PNext    []int64
-	P2PPartner []int
-	P2PBlocked []bool
-
-	Meter     meterWire
-	LastAdapt int64
-
-	NextCkpt  int64
-	Rollbacks int
-	Wasted    int64
-	Replayed  int64
-	Ckpts     int
-	CkptWords int64
-
-	RNGDraws uint64
-	HasCtrl  bool
-}
+// maxQueue bounds a decoded GQ, in-queue or out-queue, beyond the bytes
+// it must be backed by.
+const maxQueue = 1 << 20
 
 // exportSnapshot serializes the complete run state. It must be called at
 // a quiesced checkpoint boundary: all core clocks equal, the manager
 // drained, no rollback pending, no replay in progress — exactly the
 // state after atBoundary's takeCheckpoint.
-func (r *detRun) exportSnapshot() ([]byte, error) {
-	hdr := engineHeader{
-		Version:  EngineStateVersion,
-		Seed:     r.cfg.Seed,
-		NumCores: r.m.NumCores(),
-		Scheme:   r.cfg.Scheme.Name(),
-
-		Global:  r.global,
-		Bound:   r.bound,
-		Retired: r.retired,
-		Arrival: r.arrival,
-
-		P2PNext:    r.p2pNext,
-		P2PPartner: r.p2pPartner,
-		P2PBlocked: r.p2pBlocked,
-
-		Meter: meterWire{
-			CoreCycles: r.meter.coreCycles, Events: r.meter.events,
-			Suspensions: r.meter.suspensions, ViolChecked: r.meter.violChecked,
-			AdaptOps: r.meter.adaptOps, CkptWords: r.meter.ckptWords,
-			RbackWords: r.meter.rbackWords,
-		},
-		LastAdapt: r.lastAdapt,
-
-		NextCkpt:  r.nextCkpt,
-		Rollbacks: r.rollbacks,
-		Wasted:    r.wasted,
-		Replayed:  r.replayed,
-		Ckpts:     r.ckpts,
-		CkptWords: r.ckptWords,
-
-		RNGDraws: r.rngSrc.n,
-		HasCtrl:  r.ctrl != nil,
-	}
-	for _, p := range r.gq {
-		hdr.GQ = append(hdr.GQ, pendingWire{Req: p.req, Arr: p.arr})
-	}
-	st := runState{hdr: hdr, unc: r.m.unc.Snapshot(), mem: r.m.mem, sync: r.m.sync, det: r.m.det, ctrl: r.ctrl}
+func (r *detRun) exportSnapshot() []byte {
+	st := runState{run: r, seed: r.cfg.Seed, scheme: r.cfg.Scheme.Name(), rngDraws: r.rngSrc.n,
+		unc: r.m.unc.Snapshot(), mem: r.m.mem, sync: r.m.sync, det: r.m.det, ctrl: r.ctrl}
 	for i, c := range r.m.cores {
 		st.cores = append(st.cores, c.Snapshot())
 		st.inQs = append(st.inQs, r.m.inQs[i].Snapshot())
@@ -167,94 +80,172 @@ func (r *detRun) exportSnapshot() ([]byte, error) {
 	return st.encode()
 }
 
-// runState is an exported run: the header, then every component state,
-// in gob stream order. The controller follows only when the header says
-// the run has one.
+// runState is an exported run: the run's identity and RNG position, its
+// pacing scalars (global time, bound, retired mask, GQ, Lax-P2P gates,
+// meter, checkpoint and rollback counters) in the fields of run, then
+// every component state, in payload order. The controller follows only
+// when the run has one.
 type runState struct {
-	hdr   engineHeader
-	cores []*core.Snapshot
-	unc   *uncore.Snapshot
-	mem   *mem.Memory
-	sync  *syncctl.Controller
-	det   *violation.Detector
-	inQs  [][]event.Msg
-	outs  [][]event.Request
-	ctrl  *adaptive.Controller
+	run      *detRun
+	seed     int64
+	scheme   string
+	rngDraws uint64
+	cores    []*core.Snapshot
+	unc      *uncore.Snapshot
+	mem      *mem.Memory
+	sync     *syncctl.Controller
+	det      *violation.Detector
+	inQs     [][]event.Msg
+	outs     [][]event.Request
+	ctrl     *adaptive.Controller
 }
 
-// streamValue is one named value of the gob stream.
-type streamValue struct {
-	name string
-	v    any
+// component is one named section of the payload after the header.
+type component struct {
+	name   string
+	encode func(*wire.Writer)
+	decode func(*wire.Reader)
 }
 
-// components lists the stream's values after the header, as pointers so
-// that the same list serves the encoder and the decoder.
-func (s *runState) components() []streamValue {
-	return []streamValue{
-		{"cores", &s.cores},
-		{"uncore", s.unc},
-		{"memory", s.mem},
-		{"sync", s.sync},
-		{"detector", s.det},
-		{"inqs", &s.inQs},
-		{"outqs", &s.outs},
+// components lists the payload's sections after the header; the same
+// list serves the encoder and the decoder.
+func (s *runState) components() []component {
+	cs := []component{
+		{"cores", func(w *wire.Writer) {
+			for _, c := range s.cores {
+				c.Encode(w)
+			}
+		}, func(r *wire.Reader) {
+			for _, c := range s.cores {
+				c.Decode(r)
+			}
+		}},
+		{"uncore", s.unc.Encode, s.unc.Decode},
+		{"memory", s.mem.Encode, s.mem.Decode},
+		{"sync", s.sync.Encode, s.sync.Decode},
+		{"detector", s.det.Encode, s.det.Decode},
+		{"inqs", func(w *wire.Writer) {
+			for _, q := range s.inQs {
+				wire.List(w, q, func(m event.Msg) {
+					w.Byte(byte(m.Kind))
+					w.Uvarint(m.ReqID)
+					w.Uvarint(m.LineAddr)
+					w.Byte(byte(m.NewState))
+					w.Varint(m.TS)
+				})
+			}
+		}, func(r *wire.Reader) {
+			for i := range s.inQs {
+				s.inQs[i] = wire.ReadList(r, "in-queue entries", maxQueue, func() event.Msg {
+					return event.Msg{Kind: event.MsgKind(r.Byte()), ReqID: r.Uvarint(), LineAddr: r.Uvarint(),
+						NewState: coherence.State(r.Byte()), TS: r.Varint()}
+				})
+			}
+		}},
+		{"outqs", func(w *wire.Writer) {
+			for _, q := range s.outs {
+				wire.List(w, q, func(q event.Request) { encodeRequest(w, q) })
+			}
+		}, func(r *wire.Reader) {
+			for i := range s.outs {
+				s.outs[i] = wire.ReadList(r, "out-queue entries", maxQueue, func() event.Request { return decodeRequest(r) })
+			}
+		}},
 	}
+	if s.ctrl != nil {
+		cs = append(cs, component{"controller", s.ctrl.Encode, s.ctrl.Decode})
+	}
+	return cs
 }
 
-// encode serializes the state. The gob stream is assembled in a pooled
-// buffer (repeated exports of a live run reuse the same grown backing);
-// the returned bytes are copied out because the caller owns them
-// indefinitely.
-func (s *runState) encode() ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer encBufPool.Put(buf)
-	enc := gob.NewEncoder(buf)
-	if err := enc.Encode(&s.hdr); err != nil {
-		return nil, fmt.Errorf("engine: snapshot header: %w", err)
+func encodeRequest(w *wire.Writer, q event.Request) {
+	w.Uvarint(q.ID)
+	w.Int(q.Core)
+	w.Byte(byte(q.Kind))
+	w.Uvarint(q.LineAddr)
+	w.Varint(q.TS)
+}
+
+func decodeRequest(r *wire.Reader) event.Request {
+	return event.Request{ID: r.Uvarint(), Core: r.Int(), Kind: coherence.BusReq(r.Byte()), LineAddr: r.Uvarint(), TS: r.Varint()}
+}
+
+// encode serializes the state.
+func (s *runState) encode() []byte {
+	w, run := new(wire.Writer), s.run
+	w.Uvarint(EngineStateVersion)
+	w.Int(len(s.cores))
+	w.Varint(s.seed)
+	w.String(s.scheme)
+	for _, b := range run.retired {
+		w.Bool(b)
 	}
+	wire.List(w, run.gq, func(p pendingReq) { encodeRequest(w, p.req); w.Uvarint(p.arr) })
+	wire.List(w, run.p2pNext, w.Varint)
+	wire.List(w, run.p2pPartner, w.Int)
+	wire.List(w, run.p2pBlocked, w.Bool)
+	m := &run.meter
+	for _, v := range [...]int64{run.global, run.bound, m.coreCycles, m.ckptWords, m.rbackWords, run.lastAdapt,
+		run.nextCkpt, int64(run.rollbacks), run.wasted, run.replayed, int64(run.ckpts), run.ckptWords} {
+		w.Varint(v)
+	}
+	for _, v := range [...]uint64{run.arrival, m.events, m.suspensions, m.violChecked, m.adaptOps, s.rngDraws} {
+		w.Uvarint(v)
+	}
+	w.Bool(s.ctrl != nil)
 	for _, c := range s.components() {
-		if err := enc.Encode(c.v); err != nil {
-			return nil, fmt.Errorf("engine: snapshot %s: %w", c.name, err)
-		}
+		c.encode(w)
 	}
-	if s.hdr.HasCtrl {
-		if err := enc.Encode(s.ctrl); err != nil {
-			return nil, fmt.Errorf("engine: snapshot controller: %w", err)
-		}
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	return w.Bytes()
 }
 
-// decodeRunState decodes an exported run for a machine of numCores cores.
-// It checks the header's version and core count before it sizes anything
-// by them; what the components hold is the caller's to check.
-func decodeRunState(state []byte, numCores int) (*runState, error) {
-	dec := gob.NewDecoder(bytes.NewReader(state))
-	s := &runState{}
-	if err := dec.Decode(&s.hdr); err != nil {
+// decodeRunState decodes an exported run for a machine of numCores cores,
+// its pacing scalars into run. It checks the version and the core count
+// before it sizes anything by them; what the state holds is the caller's
+// to check.
+func decodeRunState(state []byte, numCores int, run *detRun) (*runState, error) {
+	in := wire.NewReader(state)
+	s := &runState{run: run}
+	if v := in.Uvarint(); in.Err() == nil && v != EngineStateVersion {
+		in.Failf("not SLKSNAP2 engine state (version %d, this binary speaks %d)", v, EngineStateVersion)
+	}
+	if n := in.Int(); in.Err() == nil && n != numCores {
+		in.Failf("state has %d cores, machine has %d", n, numCores)
+	}
+	s.seed, s.scheme = in.Varint(), in.String("scheme name bytes", 64)
+	run.retired = make([]bool, numCores)
+	for i := range run.retired {
+		run.retired[i] = in.Bool()
+	}
+	run.gq = wire.ReadList(in, "GQ entries", maxQueue, func() pendingReq { return pendingReq{decodeRequest(in), in.Uvarint()} })
+	// checkP2P holds the Lax-P2P lists to the core count exactly.
+	run.p2pNext = wire.ReadList(in, "Lax-P2P state entries", numCores, in.Varint)
+	run.p2pPartner = wire.ReadList(in, "Lax-P2P state entries", numCores, in.Int)
+	run.p2pBlocked = wire.ReadList(in, "Lax-P2P state entries", numCores, in.Bool)
+	m := &run.meter
+	run.global, run.bound, m.coreCycles, m.ckptWords, m.rbackWords = in.Varint(), in.Varint(), in.Varint(), in.Varint(), in.Varint()
+	run.lastAdapt, run.nextCkpt, run.rollbacks, run.wasted = in.Varint(), in.Varint(), in.Int(), in.Varint()
+	run.replayed, run.ckpts, run.ckptWords = in.Varint(), in.Int(), in.Varint()
+	run.arrival, m.events, m.suspensions, m.violChecked, m.adaptOps = in.Uvarint(), in.Uvarint(), in.Uvarint(), in.Uvarint(), in.Uvarint()
+	s.rngDraws = in.Uvarint()
+	if in.Bool() {
+		s.ctrl = &adaptive.Controller{}
+	}
+	if err := in.Err(); err != nil {
 		return nil, fmt.Errorf("engine: resume header: %w", err)
 	}
-	if s.hdr.Version != EngineStateVersion {
-		return nil, fmt.Errorf("engine: resume: state version %d, this binary speaks %d", s.hdr.Version, EngineStateVersion)
-	}
-	if s.hdr.NumCores != numCores {
-		return nil, fmt.Errorf("engine: resume: state has %d cores, machine has %d", s.hdr.NumCores, numCores)
-	}
 	s.unc, s.mem, s.sync, s.det = &uncore.Snapshot{}, mem.New(), syncctl.New(numCores), violation.NewDetector()
+	s.inQs, s.outs = make([][]event.Msg, numCores), make([][]event.Request, numCores)
+	for range numCores {
+		s.cores = append(s.cores, new(core.Snapshot))
+	}
 	for _, c := range s.components() {
-		if err := dec.Decode(c.v); err != nil {
-			return nil, fmt.Errorf("engine: resume %s: %w", c.name, err)
+		if c.decode(in); in.Err() != nil {
+			return nil, fmt.Errorf("engine: resume %s: %w", c.name, in.Err())
 		}
 	}
-	if s.hdr.HasCtrl {
-		s.ctrl = &adaptive.Controller{}
-		if err := dec.Decode(s.ctrl); err != nil {
-			return nil, fmt.Errorf("engine: resume controller: %w", err)
-		}
+	if err := in.Done(); err != nil {
+		return nil, fmt.Errorf("engine: resume: %w", err)
 	}
 	return s, nil
 }
@@ -266,9 +257,9 @@ func decodeRunState(state []byte, numCores int) (*runState, error) {
 // transaction a core can issue, and every message a kind the core
 // handles and a coherence state; every timestamp must lie in
 // [0, maxCycles]. GQ arrival stamps must be unique and at most the
-// header's Arrival counter, since arbitration order breaks ties on them.
+// arrival counter, since arbitration order breaks ties on them.
 func (s *runState) checkQueues(maxCycles int64) error {
-	n := s.hdr.NumCores
+	n, gq, arrival := len(s.cores), s.run.gq, s.run.arrival
 	checkReq := func(q event.Request, own int) error {
 		switch {
 		case q.Core < 0 || q.Core >= n || own >= 0 && q.Core != own:
@@ -280,15 +271,15 @@ func (s *runState) checkQueues(maxCycles int64) error {
 		}
 		return nil
 	}
-	arrivals := make([]uint64, 0, len(s.hdr.GQ))
-	for k, p := range s.hdr.GQ {
-		if err := checkReq(p.Req, -1); err != nil {
+	arrivals := make([]uint64, 0, len(gq))
+	for k, p := range gq {
+		if err := checkReq(p.req, -1); err != nil {
 			return fmt.Errorf("GQ entry %d: %w", k, err)
 		}
-		if p.Arr == 0 || p.Arr > s.hdr.Arrival {
-			return fmt.Errorf("GQ entry %d: arrival stamp %d outside [1, %d]", k, p.Arr, s.hdr.Arrival)
+		if p.arr == 0 || p.arr > arrival {
+			return fmt.Errorf("GQ entry %d: arrival stamp %d outside [1, %d]", k, p.arr, arrival)
 		}
-		arrivals = append(arrivals, p.Arr)
+		arrivals = append(arrivals, p.arr)
 	}
 	slices.Sort(arrivals)
 	for k := 1; k < len(arrivals); k++ {
@@ -318,9 +309,9 @@ func (s *runState) checkQueues(maxCycles int64) error {
 	return nil
 }
 
-// checkPacing reports why the header's pacing scalars cannot belong to a
+// checkPacing reports why the decoded pacing scalars cannot belong to a
 // run of cfg, or nil. Resume fast-forwards the scheduler's RNG draw by
-// draw, so RNGDraws is bounded by what the header's own counters allow.
+// draw, so the draw count is bounded by what the run's own counters allow.
 // A boundary export sees every core clock at most Global, so the ticks
 // that survive are at most cores·Global; with rollback each checkpoint
 // interval is rolled back at most once and discards at most one interval
@@ -329,43 +320,43 @@ func (s *runState) checkQueues(maxCycles int64) error {
 // the core and at most once per core for a Lax-P2P partner; the draw
 // bound carries a factor of two for Int63n's and Intn's rare rejected
 // draws.
-func (h *engineHeader) checkPacing(cfg RunConfig) error {
-	n := uint64(h.NumCores)
-	if h.Global < 0 || h.Global > cfg.MaxCycles {
-		return fmt.Errorf("global time %d outside [0, %d]", h.Global, cfg.MaxCycles)
+func (s *runState) checkPacing(cfg RunConfig) error {
+	n, global, cycles := uint64(len(s.cores)), s.run.global, s.run.meter.coreCycles
+	if global < 0 || global > cfg.MaxCycles {
+		return fmt.Errorf("global time %d outside [0, %d]", global, cfg.MaxCycles)
 	}
-	maxTicks := 2 * n * uint64(h.Global+cfg.CheckpointInterval)
-	if h.Meter.CoreCycles < 0 || uint64(h.Meter.CoreCycles) > maxTicks {
+	maxTicks := 2 * n * uint64(global+cfg.CheckpointInterval)
+	if cycles < 0 || uint64(cycles) > maxTicks {
 		return fmt.Errorf("meter counts %d core cycles, more than %d cores can tick by global time %d",
-			h.Meter.CoreCycles, n, h.Global)
+			cycles, n, global)
 	}
-	if maxDraws := 2 * (2 + n) * uint64(h.Meter.CoreCycles); h.RNGDraws > maxDraws {
+	if maxDraws := 2 * (2 + n) * uint64(cycles); s.rngDraws > maxDraws {
 		return fmt.Errorf("RNG draw count %d exceeds the %d that %d core cycles allow",
-			h.RNGDraws, maxDraws, h.Meter.CoreCycles)
+			s.rngDraws, maxDraws, cycles)
 	}
 	return nil
 }
 
-// checkP2P reports why the header's Lax-P2P gate state cannot be
+// checkP2P reports why the decoded Lax-P2P gate state cannot be
 // restored, or nil. A Lax-P2P run carries a next sync point, a partner
 // and a blocked flag per core, any other run none of them. The gate
 // indexes the retired mask and the cores by a partner, which is -1 (none
 // chosen) or another core, and a sync point is a non-negative cycle.
-func (h *engineHeader) checkP2P(laxP2P bool) error {
-	n := 0
+func (s *runState) checkP2P(laxP2P bool) error {
+	n, h := 0, s.run
 	if laxP2P {
-		n = h.NumCores
+		n = len(s.cores)
 	}
-	if len(h.P2PNext) != n || len(h.P2PPartner) != n || len(h.P2PBlocked) != n {
+	if len(h.p2pNext) != n || len(h.p2pPartner) != n || len(h.p2pBlocked) != n {
 		return fmt.Errorf("Lax-P2P state has %d/%d/%d sync points/partners/flags, want %d each",
-			len(h.P2PNext), len(h.P2PPartner), len(h.P2PBlocked), n)
+			len(h.p2pNext), len(h.p2pPartner), len(h.p2pBlocked), n)
 	}
 	for i := 0; i < n; i++ {
-		if p := h.P2PPartner[i]; p < -1 || p >= n || p == i {
+		if p := h.p2pPartner[i]; p < -1 || p >= n || p == i {
 			return fmt.Errorf("core %d has Lax-P2P partner %d on a %d-core machine", i, p, n)
 		}
-		if h.P2PNext[i] < 0 {
-			return fmt.Errorf("core %d has Lax-P2P next sync point %d", i, h.P2PNext[i])
+		if h.p2pNext[i] < 0 {
+			return fmt.Errorf("core %d has Lax-P2P next sync point %d", i, h.p2pNext[i])
 		}
 	}
 	return nil
@@ -376,33 +367,26 @@ func (h *engineHeader) checkP2P(laxP2P bool) error {
 // configuration) that produced the snapshot, and cfg must be the same
 // run configuration; the continued run then produces Results identical
 // to an uninterrupted run (WallClock aside).
-func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
-	// Set the run up the way Run does; the restored components and the
-	// header's pacing scalars then overwrite the fresh state.
+func Resume(m *Machine, cfg RunConfig, state []byte) (res Results, err error) {
+	// Set the run up the way Run does; the decoded pacing scalars and the
+	// restored components then overwrite the fresh state.
 	var r detRun
 	if err := r.init(m, cfg); err != nil {
 		return Results{}, err
 	}
 	cfg = r.cfg
 
-	st, err := decodeRunState(state, m.NumCores())
+	st, err := decodeRunState(state, m.NumCores(), &r)
 	if err != nil {
 		return Results{}, err
 	}
-	hdr := st.hdr
-	if hdr.Seed != cfg.Seed {
-		return Results{}, fmt.Errorf("engine: resume: state seed %d, config seed %d", hdr.Seed, cfg.Seed)
+	if st.seed != cfg.Seed {
+		return Results{}, fmt.Errorf("engine: resume: state seed %d, config seed %d", st.seed, cfg.Seed)
 	}
-	if name := cfg.Scheme.Name(); hdr.Scheme != name {
-		return Results{}, fmt.Errorf("engine: resume: state scheme %q, config scheme %q", hdr.Scheme, name)
+	if name := cfg.Scheme.Name(); st.scheme != name {
+		return Results{}, fmt.Errorf("engine: resume: state scheme %q, config scheme %q", st.scheme, name)
 	}
-	if len(hdr.Retired) != m.NumCores() {
-		return Results{}, fmt.Errorf("engine: resume: retired mask has %d entries for %d cores", len(hdr.Retired), m.NumCores())
-	}
-	if len(st.cores) != m.NumCores() || len(st.inQs) != m.NumCores() || len(st.outs) != m.NumCores() {
-		return Results{}, fmt.Errorf("engine: resume: component counts do not match %d cores", m.NumCores())
-	}
-	if cfg.Scheme.Kind == Adaptive && !hdr.HasCtrl {
+	if cfg.Scheme.Kind == Adaptive && st.ctrl == nil {
 		return Results{}, fmt.Errorf("engine: resume: adaptive scheme but no controller state")
 	}
 	for i, c := range m.cores {
@@ -416,10 +400,13 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	if err := st.checkQueues(cfg.MaxCycles); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}
-	if err := hdr.checkPacing(cfg); err != nil {
+	if err := st.checkPacing(cfg); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}
-	if err := hdr.checkP2P(cfg.Scheme.Kind == LaxP2P); err != nil {
+	if err := st.checkP2P(cfg.Scheme.Kind == LaxP2P); err != nil {
+		return Results{}, fmt.Errorf("engine: resume: %w", err)
+	}
+	if err := m.det.CheckSnapshot(st.det, r.global); err != nil {
 		return Results{}, fmt.Errorf("engine: resume: %w", err)
 	}
 	r.ctrl = st.ctrl
@@ -427,7 +414,7 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 	// Overwrite the fresh machine's components in place (the machine's
 	// internal wiring — queues shared with the uncore, the detector fed by
 	// it — stays intact because every Restore copies content, not
-	// pointers).
+	// pointers). The pacing scalars were decoded into r.
 	for i, c := range m.cores {
 		c.Restore(st.cores[i])
 		m.inQs[i].Restore(st.inQs[i])
@@ -440,34 +427,11 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 
 	// A payload within the bounds can still ask for billions of draws, so
 	// the fast-forward honors an interrupt like the run itself.
-	for i := uint64(0); i < hdr.RNGDraws; i++ {
+	for i := uint64(0); i < st.rngDraws; i++ {
 		if i%(1<<16) == 0 && cfg.interrupted() {
 			return Results{}, ErrInterrupted
 		}
 		r.rngSrc.Int63()
-	}
-	copy(r.retired, hdr.Retired)
-	r.bound = hdr.Bound
-	r.global = hdr.Global
-	r.arrival = hdr.Arrival
-	copy(r.p2pNext, hdr.P2PNext)
-	copy(r.p2pPartner, hdr.P2PPartner)
-	copy(r.p2pBlocked, hdr.P2PBlocked)
-	r.lastAdapt = hdr.LastAdapt
-	r.nextCkpt = hdr.NextCkpt
-	r.rollbacks = hdr.Rollbacks
-	r.wasted = hdr.Wasted
-	r.replayed = hdr.Replayed
-	r.ckpts = hdr.Ckpts
-	r.ckptWords = hdr.CkptWords
-	r.meter = costMeter{
-		coreCycles: hdr.Meter.CoreCycles, events: hdr.Meter.Events,
-		suspensions: hdr.Meter.Suspensions, violChecked: hdr.Meter.ViolChecked,
-		adaptOps: hdr.Meter.AdaptOps, ckptWords: hdr.Meter.CkptWords,
-		rbackWords: hdr.Meter.RbackWords,
-	}
-	for _, p := range hdr.GQ {
-		r.gq = append(r.gq, pendingReq{req: p.Req, arr: p.Arr})
 	}
 
 	// The exported run held a checkpoint taken at the export boundary;
@@ -478,5 +442,14 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 		r.capture()
 	}
 	r.cfg.Tracer.Addf(r.global, -1, trace.Checkpoint, "resumed from snapshot @%d", r.global)
+	// The checks bound every structure, but register and memory values
+	// are the payload's to choose: a program run on forged values can hit
+	// the simulator's assertions on workload bugs (an unaligned access, a
+	// release of a lock not held). They fail the resume, not the process.
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = Results{}, fmt.Errorf("engine: resumed run: %v", p)
+		}
+	}()
 	return r.run()
 }

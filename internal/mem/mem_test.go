@@ -1,12 +1,12 @@
 package mem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"slacksim/internal/wire"
 )
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -234,13 +234,11 @@ func TestSparsePages(t *testing.T) {
 	if !m.Equal(snap) || m.Read(hi+PageWords*8) != 0 || m.AllocatedWords() != 2*PageWords {
 		t.Fatal("restore kept a later sparse page")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatal(err)
-	}
-	got := New()
-	if err := gob.NewDecoder(&buf).Decode(got); err != nil || !got.Equal(m) || got.AllocatedWords() != m.AllocatedWords() {
-		t.Fatalf("sparse page lost on the wire: %v", err)
+	w := new(wire.Writer)
+	m.Encode(w)
+	got, r := New(), wire.NewReader(w.Bytes())
+	if got.Decode(r); r.Done() != nil || !got.Equal(m) || got.AllocatedWords() != m.AllocatedWords() {
+		t.Fatalf("sparse page lost on the wire: %v", r.Err())
 	}
 	m.Reset()
 	if m.AllocatedWords() != 0 || m.Read(hi) != 0 {

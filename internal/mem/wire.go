@@ -1,65 +1,52 @@
 package mem
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+
+	"slacksim/internal/wire"
 )
-
-// Wire serialization for run snapshots: the allocated pages in a
-// page-number-sorted slice, so encoding is deterministic and the decode
-// rebuilds exactly those pages (AllocatedWords, which feeds the
-// checkpoint cost model, survives the round trip).
-
-type pageWire struct {
-	PN    uint64
-	Words page
-}
 
 // MaxPages bounds a decoded image (1 GiB of target memory), so a forged
 // payload cannot make the page table allocate without limit.
 const MaxPages = 1 << 18
 
-// GobEncode implements gob.GobEncoder. The receiver must be quiescent
-// (no concurrent writers); the engine serializes only at checkpoint
-// boundaries, where that holds.
-func (m *Memory) GobEncode() ([]byte, error) {
-	list := m.pages()
-	pages := make([]pageWire, len(list))
-	for i, e := range list {
-		pages[i] = pageWire{PN: e.pn, Words: *e.p}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].PN < pages[j].PN })
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(pages)
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder, leaving the memory holding
-// exactly the encoded pages. A first pass decodes only the page numbers
-// (gob skips the words), so that more than MaxPages pages, or page
-// numbers out of order or named twice, fail before a page is allocated.
-func (m *Memory) GobDecode(data []byte) error {
-	var pns []struct{ PN uint64 }
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pns); err != nil {
-		return err
-	}
-	if len(pns) > MaxPages {
-		return fmt.Errorf("mem: image holds %d pages, more than %d", len(pns), MaxPages)
-	}
-	for i := 1; i < len(pns); i++ {
-		if pns[i].PN <= pns[i-1].PN {
-			return fmt.Errorf("mem: page %#x out of order or named twice", pns[i].PN)
+// Encode appends the image for a run snapshot: the allocated pages in
+// page-number order, so the decode rebuilds exactly those pages
+// (AllocatedWords, which feeds the checkpoint cost model, survives the
+// round trip). The image must be quiescent (no concurrent writers); the
+// engine exports only at checkpoint boundaries, where that holds.
+func (m *Memory) Encode(w *wire.Writer) {
+	pages := m.pages()
+	slices.SortFunc(pages, func(a, b entry) int { return cmp.Compare(a.pn, b.pn) })
+	w.Uvarint(uint64(len(pages)))
+	for _, e := range pages {
+		w.Uvarint(e.pn)
+		for _, v := range e.p {
+			w.Uvarint(v)
 		}
 	}
-	var pages []pageWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pages); err != nil {
-		return err
-	}
+}
+
+// Decode reads an image written by Encode into m, in one pass. More than
+// MaxPages pages, or a page number out of order or named twice, fails the
+// Reader before that page is allocated.
+func (m *Memory) Decode(r *wire.Reader) {
 	m.Reset()
-	for i := range pages {
-		*m.pageAt(pages[i].PN, true) = pages[i].Words
+	n := r.Count("pages", MaxPages)
+	var pg page
+	for i, prev := 0, uint64(0); i < n; i++ {
+		pn := r.Uvarint()
+		if i > 0 && pn <= prev && r.Err() == nil {
+			r.Failf("mem: page %#x out of order or named twice", pn)
+		}
+		for k := range pg {
+			pg[k] = r.Uvarint()
+		}
+		if r.Err() != nil {
+			return
+		}
+		*m.pageAt(pn, true) = pg
+		prev = pn
 	}
-	return nil
 }

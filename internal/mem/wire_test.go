@@ -2,23 +2,27 @@ package mem
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
+
+	"slacksim/internal/wire"
 )
+
+func encode(m *Memory) []byte {
+	w := new(wire.Writer)
+	m.Encode(w)
+	return w.Bytes()
+}
 
 func TestMemoryWireRoundTrip(t *testing.T) {
 	m := New()
 	for i := uint64(0); i < 2000; i++ {
-		m.Write(i*8*37, i+1) // spread across pages and shards
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatalf("encode: %v", err)
+		m.Write(i*8*37, i+1) // spread across pages and leaves
 	}
 	got := New()
 	got.Write(123456, 42) // stale content must be dropped by decode
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(got); err != nil {
-		t.Fatalf("decode: %v", err)
+	r := wire.NewReader(encode(m))
+	if got.Decode(r); r.Done() != nil {
+		t.Fatalf("decode: %v", r.Err())
 	}
 	if !m.Equal(got) {
 		t.Fatal("memory did not survive the wire round trip")
@@ -26,6 +30,38 @@ func TestMemoryWireRoundTrip(t *testing.T) {
 	if m.AllocatedWords() != got.AllocatedWords() {
 		t.Fatalf("allocated words %d != %d (cost model would diverge)",
 			m.AllocatedWords(), got.AllocatedWords())
+	}
+}
+
+// TestMemoryWireRejectsHostilePages: a page count over MaxPages, and a
+// page number out of order or named twice, must not decode.
+func TestMemoryWireRejectsHostilePages(t *testing.T) {
+	image := func(pns ...uint64) []byte {
+		w := new(wire.Writer)
+		w.Uvarint(uint64(len(pns)))
+		for _, pn := range pns {
+			w.Uvarint(pn)
+			for range PageWords {
+				w.Uvarint(0)
+			}
+		}
+		return w.Bytes()
+	}
+	over := new(wire.Writer)
+	over.Uvarint(MaxPages + 1)
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"over MaxPages":  {over.Bytes(), "more than"},
+		"named twice":    {image(3, 3), "named twice"},
+		"out of order":   {image(7, 3), "out of order"},
+		"count past end": {image(1, 2)[:600], "truncated"},
+	} {
+		r := wire.NewReader(tc.data)
+		if New().Decode(r); r.Err() == nil || !bytes.Contains([]byte(r.Err().Error()), []byte(tc.want)) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, r.Err(), tc.want)
+		}
 	}
 }
 
@@ -40,36 +76,21 @@ func wireSeed() *Memory {
 	return m
 }
 
-// FuzzMemoryWire feeds arbitrary bytes to the image's wire decoder. It
-// must never panic, and whatever it accepts must re-encode to the bytes
-// of its canonical encoding: decoding those gives an equal image that
-// re-encodes to the same bytes. Byte identity with the input itself
-// cannot hold, because gob gives one value many encodings (it skips a
-// field whose name it does not know, for one); the decoder does reject
-// every page order but the encoder's.
+// FuzzMemoryWire feeds arbitrary bytes to the image's decoder. It must
+// never panic, and whatever it accepts must re-encode to exactly the
+// input: the encoding is canonical, so an image has one encoding.
 func FuzzMemoryWire(f *testing.F) {
-	good, err := wireSeed().GobEncode()
-	if err != nil {
-		f.Fatal(err)
-	}
+	good := encode(wireSeed())
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := New()
-		if err := m.GobDecode(data); err != nil {
+		m, r := New(), wire.NewReader(data)
+		if m.Decode(r); r.Done() != nil {
 			return
 		}
-		enc, err := m.GobEncode()
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		again := New()
-		if err := again.GobDecode(enc); err != nil {
-			t.Fatalf("canonical encoding rejected: %v", err)
-		}
-		if enc2, _ := again.GobEncode(); !bytes.Equal(enc, enc2) || !again.Equal(m) || again.AllocatedWords() != m.AllocatedWords() {
-			t.Fatal("canonical encoding does not round-trip")
+		if enc := encode(m); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x, which re-encodes to %x", data, enc)
 		}
 	})
 }

@@ -1,12 +1,12 @@
 package syncctl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"slacksim/internal/wire"
 )
 
 func TestLockBasics(t *testing.T) {
@@ -283,13 +283,11 @@ func TestTableOverflow(t *testing.T) {
 	for i := uint64(0); i < n; i += 2 {
 		c.Unlock(i*64, 0, 2)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		t.Fatal(err)
-	}
-	wired := New(2)
-	if err := gob.NewDecoder(&buf).Decode(wired); err != nil {
-		t.Fatal(err)
+	w := new(wire.Writer)
+	c.Encode(w)
+	wired, r := New(2), wire.NewReader(w.Bytes())
+	if wired.Decode(r); r.Done() != nil {
+		t.Fatal(r.Err())
 	}
 	for i := uint64(0); i < n; i++ {
 		if got, want := wired.HeldBy(i*64), int(i%2)*2-1; got != want {

@@ -1,119 +1,99 @@
 package syncctl
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+
+	"slacksim/internal/wire"
 )
 
-// Wire serialization for run snapshots: lock and barrier tables
-// flattened into key-sorted slices so the encoding is deterministic.
+// maxKeys bounds the locks and the barriers of a decoded controller,
+// beyond the bytes they must be backed by.
+const maxKeys = 1 << 20
 
-type lockWire struct {
-	Addr       uint64
-	Owner      int
-	ReleasedAt int64
+// sorted lists t's keys, in the given order.
+func sorted[E any](t *table[E], order func(a, b uint64) int) []uint64 {
+	var keys []uint64
+	t.each(func(k uint64, _ *E) { keys = append(keys, k) })
+	slices.SortFunc(keys, order)
+	return keys
 }
 
-type barrierWire struct {
-	ID         int64
-	Arrived    int
-	Generation uint64
-	ReleasedAt int64
-	Waiting    []int
-}
-
-type controllerWire struct {
-	NumCores int
-	Locks    []lockWire
-	Barriers []barrierWire
-
-	Acquires, Releases, Contended uint64
-	BarrierEpisodes               uint64
-}
-
-// GobEncode implements gob.GobEncoder. The receiver must be quiescent.
-func (c *Controller) GobEncode() ([]byte, error) {
-	t := c.Counts()
-	w := controllerWire{NumCores: len(c.cores), Acquires: t.Acquires, Releases: t.Releases,
-		Contended: t.Contended, BarrierEpisodes: t.BarrierEpisodes}
-	c.locks.each(func(a uint64, l *lockState) {
-		w.Locks = append(w.Locks, lockWire{a, int(l.owner.Load()) - 1, l.released.Load() - 1})
+// Encode appends the controller for a run snapshot: its core count, the
+// locks in address order, the barriers in ID order with the cores waiting
+// at each, then every core's counts. The receiver must be quiescent.
+func (c *Controller) Encode(w *wire.Writer) {
+	w.Int(len(c.cores))
+	wire.List(w, sorted(&c.locks, cmp.Compare[uint64]), func(addr uint64) {
+		l := c.locks.find(addr, false)
+		w.Uvarint(addr)
+		w.Varint(l.owner.Load())
+		w.Varint(l.released.Load())
 	})
-	c.barriers.each(func(id uint64, b *barrier) {
-		bw := barrierWire{int64(id), int(b.arrived.Load()), b.gen.Load(), b.released.Load() - 1, nil}
+	wire.List(w, sorted(&c.barriers, func(a, b uint64) int { return cmp.Compare(int64(a), int64(b)) }), func(key uint64) {
+		b, id := c.barriers.find(key, false), int64(key)
+		w.Varint(id)
+		w.Varint(b.arrived.Load())
+		w.Uvarint(b.gen.Load())
+		w.Varint(b.released.Load())
+		var waiting []int
 		for core, s := range c.cores {
-			if s.arrived && s.id == bw.ID && s.gen == bw.Generation {
-				bw.Waiting = append(bw.Waiting, core)
+			if s.arrived && s.id == id && s.gen == b.gen.Load() {
+				waiting = append(waiting, core)
 			}
 		}
-		w.Barriers = append(w.Barriers, bw)
+		wire.List(w, waiting, w.Int)
 	})
-	sort.Slice(w.Locks, func(i, j int) bool { return w.Locks[i].Addr < w.Locks[j].Addr })
-	sort.Slice(w.Barriers, func(i, j int) bool { return w.Barriers[i].ID < w.Barriers[j].ID })
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
+	for _, s := range c.cores {
+		for _, n := range [...]uint64{s.Acquires, s.Releases, s.Contended, s.BarrierEpisodes} {
+			w.Uvarint(n)
+		}
+	}
 }
 
-// GobDecode implements gob.GobDecoder into a controller built for the
-// machine's n cores. It leaves c as it was and fails when check does.
-func (c *Controller) GobDecode(data []byte) error {
-	var w controllerWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if err := w.check(len(c.cores)); err != nil {
-		return fmt.Errorf("syncctl: %w", err)
-	}
+// Decode reads a controller written by Encode into c, a controller built
+// for the machine's n cores, which it resets first. Another core count,
+// keys out of order or named twice, a lock owner outside [-1, n), or a
+// barrier waiter outside [0, n), out of order, waiting twice, or not
+// matching the barrier's arrival count fails the Reader.
+func (c *Controller) Decode(r *wire.Reader) {
+	n := len(c.cores)
 	c.Reset()
-	for _, lw := range w.Locks {
-		l := c.locks.find(lw.Addr, true)
-		l.owner.Store(int64(lw.Owner) + 1)
-		l.released.Store(lw.ReleasedAt + 1)
+	if got := r.Int(); r.Err() == nil && got != n {
+		r.Failf("syncctl: controller for %d cores, machine has %d", got, n)
 	}
-	for _, bw := range w.Barriers {
-		b := c.barriers.find(uint64(bw.ID), true)
-		b.arrived.Store(int64(bw.Arrived))
-		b.gen.Store(bw.Generation)
-		b.released.Store(bw.ReleasedAt + 1)
-		for _, core := range bw.Waiting {
-			s := &c.cores[core]
-			s.arrived, s.id, s.gen = true, bw.ID, bw.Generation
+	for i, nl, prev := 0, r.Count("locks", maxKeys), uint64(0); i < nl && r.Err() == nil; i++ {
+		addr, owner, released := r.Uvarint(), r.Varint(), r.Varint()
+		if i > 0 && addr <= prev || owner < 0 || owner > int64(n) {
+			r.Failf("syncctl: lock %#x named twice, out of order, or held by core %d of %d", addr, owner-1, n)
 		}
+		l := c.locks.find(addr, true)
+		l.owner.Store(owner)
+		l.released.Store(released)
+		prev = addr
 	}
-	if len(c.cores) > 0 {
-		c.cores[0].Counts = Counts{w.Acquires, w.Releases, w.Contended, w.BarrierEpisodes}
-	}
-	return nil
-}
-
-// check reports why w cannot be restored into a controller of n cores:
-// another core count, keys out of order or named twice, a lock owner
-// outside [-1, n), or a barrier waiter outside [0, n), out of order,
-// waiting twice, or not matching the barrier's arrival count.
-func (w *controllerWire) check(n int) error {
-	if w.NumCores != n {
-		return fmt.Errorf("controller for %d cores, machine has %d", w.NumCores, n)
-	}
-	for i, l := range w.Locks {
-		if i > 0 && l.Addr <= w.Locks[i-1].Addr || l.Owner < -1 || l.Owner >= n {
-			return fmt.Errorf("lock %#x named twice, out of order, or held by core %d of %d", l.Addr, l.Owner, n)
-		}
-	}
-	waiting := make([]bool, n)
-	for i, b := range w.Barriers {
-		for k, core := range b.Waiting {
-			if core < 0 || core >= n || waiting[core] || k > 0 && core < b.Waiting[k-1] {
-				return fmt.Errorf("barrier %d: waiter %d outside [0, %d), out of order, or waiting twice", b.ID, core, n)
+	for i, nb, prev := 0, r.Count("barriers", maxKeys), int64(0); i < nb && r.Err() == nil; i++ {
+		id, arrived, gen, released := r.Varint(), r.Varint(), r.Uvarint(), r.Varint()
+		waiting := wire.ReadList(r, "barrier waiters", n, r.Int)
+		for k, core := range waiting {
+			if core < 0 || core >= n || c.cores[core].arrived || k > 0 && core < waiting[k-1] {
+				r.Failf("syncctl: barrier %d: waiter %d outside [0, %d), out of order, or waiting twice", id, core, n)
+				return
 			}
-			waiting[core] = true
+			c.cores[core].arrived, c.cores[core].id, c.cores[core].gen = true, id, gen
 		}
-		if i > 0 && b.ID <= w.Barriers[i-1].ID || b.Arrived != len(b.Waiting) || b.Arrived >= n {
-			return fmt.Errorf("barrier %d named twice or out of order, or %d arrived with %d waiting of %d cores",
-				b.ID, b.Arrived, len(b.Waiting), n)
+		if i > 0 && id <= prev || arrived != int64(len(waiting)) || arrived >= int64(n) {
+			r.Failf("syncctl: barrier %d named twice or out of order, or %d arrived with %d waiting of %d cores",
+				id, arrived, len(waiting), n)
 		}
+		b := c.barriers.find(uint64(id), true)
+		b.arrived.Store(arrived)
+		b.gen.Store(gen)
+		b.released.Store(released)
+		prev = id
 	}
-	return nil
+	for i := range c.cores {
+		s := &c.cores[i]
+		s.Acquires, s.Releases, s.Contended, s.BarrierEpisodes = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	}
 }

@@ -1,41 +1,26 @@
 package uncore
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"slacksim/internal/bus"
 	"slacksim/internal/cache"
+	"slacksim/internal/wire"
 )
 
-// Wire serialization for run snapshots: the uncore's checkpoint unit is
-// its Snapshot, whose nested bus/L2/status-map carry their own gob
-// methods.
-
-type snapshotWire struct {
-	Bus  *bus.Bus
-	L2   *cache.Cache
-	Smap *cache.StatusMap
-
-	Served, Invalidations uint64
+// Encode appends the snapshot for a run snapshot: the bus, the L2 and the
+// status map, each in its own encoding, then the counters.
+func (s *Snapshot) Encode(w *wire.Writer) {
+	s.bus.Encode(w)
+	s.l2.Encode(w)
+	s.smap.Encode(w)
+	w.Uvarint(s.served)
+	w.Uvarint(s.invalidations)
 }
 
-// GobEncode implements gob.GobEncoder.
-func (s *Snapshot) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(snapshotWire{
-		Bus: s.bus, L2: s.l2, Smap: s.smap,
-		Served: s.served, Invalidations: s.invalidations,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (s *Snapshot) GobDecode(data []byte) error {
-	var w snapshotWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	*s = Snapshot{bus: w.Bus, l2: w.L2, smap: w.Smap, served: w.Served, invalidations: w.Invalidations}
-	return nil
+// Decode reads a snapshot written by Encode into s.
+func (s *Snapshot) Decode(r *wire.Reader) {
+	*s = Snapshot{bus: new(bus.Bus), l2: new(cache.Cache), smap: new(cache.StatusMap)}
+	s.bus.Decode(r)
+	s.l2.Decode(r)
+	s.smap.Decode(r)
+	s.served, s.invalidations = r.Uvarint(), r.Uvarint()
 }

@@ -1,64 +1,79 @@
 package violation
 
 import (
-	"bytes"
-	"encoding/gob"
-	"sort"
+	"fmt"
+	"slices"
+
+	"slacksim/internal/wire"
 )
 
-// Wire serialization for run snapshots: counts, the selected set, and
-// the per-interval first-violation maps flattened into index-sorted
-// slices so the encoding is deterministic.
+// Bounds on a decoded detector, beyond the bytes it must be backed by:
+// its tracked interval lengths and the violating intervals of each.
+const maxIntervals, maxFirsts = 64, 1 << 24
 
-type intervalWire struct {
-	Interval int64
-	Indexes  []int64
-	FirstTS  []int64
-}
-
-type detectorWire struct {
-	Counts       [numTypes]uint64
-	WindowCounts [numTypes]uint64
-	Selected     [numTypes]bool
-	Intervals    []intervalWire
-}
-
-// GobEncode implements gob.GobEncoder.
-func (d *Detector) GobEncode() ([]byte, error) {
-	w := detectorWire{Counts: d.counts, WindowCounts: d.windowCounts, Selected: d.selected}
+// Encode appends the detector for a run snapshot: counts and the
+// selected set, then each tracked interval length with its (interval
+// index, first-violation time) pairs in index order.
+func (d *Detector) Encode(w *wire.Writer) {
+	for t := range d.counts {
+		w.Uvarint(d.counts[t])
+		w.Uvarint(d.windowCounts[t])
+		w.Bool(d.selected[t])
+	}
+	w.Uvarint(uint64(len(d.intervals)))
 	for _, is := range d.intervals {
-		iw := intervalWire{Interval: is.Interval, Indexes: make([]int64, 0, len(is.firstTS))}
+		w.Varint(is.Interval)
+		idxs := make([]int64, 0, len(is.firstTS))
 		for idx := range is.firstTS {
-			iw.Indexes = append(iw.Indexes, idx)
+			idxs = append(idxs, idx)
 		}
-		sort.Slice(iw.Indexes, func(i, j int) bool { return iw.Indexes[i] < iw.Indexes[j] })
-		iw.FirstTS = make([]int64, len(iw.Indexes))
-		for i, idx := range iw.Indexes {
-			iw.FirstTS[i] = is.firstTS[idx]
-		}
-		w.Intervals = append(w.Intervals, iw)
+		slices.Sort(idxs)
+		wire.List(w, idxs, func(idx int64) {
+			w.Varint(idx)
+			w.Varint(is.firstTS[idx])
+		})
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(w)
-	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
-func (d *Detector) GobDecode(data []byte) error {
-	var w detectorWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+// Decode reads a detector written by Encode into d. Pairs out of index
+// order, or naming an index twice, fail the Reader; CheckSnapshot judges
+// the rest.
+func (d *Detector) Decode(r *wire.Reader) {
+	*d = Detector{}
+	for t := range d.counts {
+		d.counts[t], d.windowCounts[t], d.selected[t] = r.Uvarint(), r.Uvarint(), r.Bool()
 	}
-	d.counts, d.windowCounts, d.selected = w.Counts, w.WindowCounts, w.Selected
-	d.intervals = nil
-	for _, iw := range w.Intervals {
-		is := &IntervalStats{Interval: iw.Interval, firstTS: make(map[int64]int64, len(iw.Indexes))}
-		for i, idx := range iw.Indexes {
-			if i < len(iw.FirstTS) {
-				is.firstTS[idx] = iw.FirstTS[i]
+	d.intervals = make([]*IntervalStats, r.Count("tracked intervals", maxIntervals))
+	for i := range d.intervals {
+		is := &IntervalStats{Interval: r.Varint(), firstTS: make(map[int64]int64)}
+		for k, n, prev := 0, r.Count("violating intervals", maxFirsts), int64(0); k < n && r.Err() == nil; k++ {
+			idx, ts := r.Varint(), r.Varint()
+			if k > 0 && idx <= prev {
+				r.Failf("violation: interval index %d out of order or named twice", idx)
+			}
+			is.firstTS[idx], prev = ts, idx
+		}
+		d.intervals[i] = is
+	}
+}
+
+// CheckSnapshot reports why s cannot be restored into d, the detector of
+// a run at global time global, or nil. Record divides by every tracked
+// interval length and gates on the selected set, so s must track d's
+// lengths and select d's types; each first violation must lie in its own
+// interval, at or before global time.
+func (d *Detector) CheckSnapshot(s *Detector, global int64) error {
+	if s.selected != d.selected || !slices.EqualFunc(s.intervals, d.intervals,
+		func(a, b *IntervalStats) bool { return a.Interval == b.Interval }) {
+		return fmt.Errorf("violation snapshot: tracked interval lengths or selected types differ from the run's")
+	}
+	for _, is := range s.intervals {
+		for idx, ts := range is.firstTS {
+			if ts < 0 || ts > global || ts/is.Interval != idx {
+				return fmt.Errorf("violation snapshot: first violation at %d recorded for interval %d of length %d at global time %d",
+					ts, idx, is.Interval, global)
 			}
 		}
-		d.intervals = append(d.intervals, is)
 	}
 	return nil
 }
