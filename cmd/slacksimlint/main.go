@@ -1,10 +1,8 @@
 // Command slacksimlint runs the internal/lint analyzer suite over the
-// repository. It works in two modes:
+// module rooted at the given directory: it loads, type-checks, and lints
+// every package from source, entirely offline:
 //
-// Standalone (the default): load, type-check, and lint every package of
-// the module rooted at the given directory, entirely offline:
-//
-//	slacksimlint [-only condlock,determinism] [dir|./...]
+//	slacksimlint [-only guardedby,determinism] [dir|./...]
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 //
@@ -15,70 +13,20 @@
 // a CI gate against stale or unjustified escapes.
 //
 // -list prints the analyzer suite (name and first doc sentence).
-//
-// Vet tool: when invoked by the go command as a vet backend
-// (`go vet -vettool=$(pwd)/bin/slacksimlint ./...`), it speaks the
-// unitchecker protocol — -V=full for the tool ID, -flags for the
-// (empty) analyzer flag set, and one .cfg file per package describing
-// files and export data. Diagnostics go to stderr and exit status 2,
-// which go vet surfaces as a failure.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 
 	"slacksim/internal/lint"
 )
 
-func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		os.Exit(vetMode(args[len(args)-1]))
-	}
-	os.Exit(standalone(args))
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-// printVersion emits the tool ID line the go command parses
-// ("<name> version <ver> ..."): the build ID is a content hash of the
-// executable so vet's result cache invalidates when the tool changes.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("%x", h.Sum(nil))
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("slacksimlint version devel buildID=%s\n", id)
-}
-
-func standalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("slacksimlint", flag.ContinueOnError)
 	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
 	allows := fs.Bool("allows", false, "inventory //lint:allow directives instead of printing findings")
@@ -191,131 +139,3 @@ func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
 	}
 	return lint.ByName(names)
 }
-
-// vetConfig mirrors the JSON the go command writes for each vetted
-// package (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredGoFiles            []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func vetMode(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "slacksimlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "slacksimlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The go command expects a facts file regardless of outcome; this
-	// suite computes no cross-package facts, so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "slacksimlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "slacksimlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	// Export data for every dependency is listed in PackageFile; the
-	// importer reads it instead of source, so vet mode needs no network,
-	// module cache, or GOROOT source.
-	exportLookup := func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	compImporter := importer.ForCompiler(fset, compiler, exportLookup)
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if importPath == "unsafe" {
-			return types.Unsafe, nil
-		}
-		if mapped, ok := cfg.ImportMap[importPath]; ok {
-			importPath = mapped
-		}
-		return compImporter.Import(importPath)
-	})
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	tconf := types.Config{
-		Importer:    imp,
-		FakeImportC: true,
-		Sizes:       types.SizesFor(compiler, runtime.GOARCH),
-	}
-	if cfg.GoVersion != "" {
-		tconf.GoVersion = cfg.GoVersion
-	}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "slacksimlint:", err)
-		return 1
-	}
-
-	findings, err := lint.RunPackage(fset, files, pkg, info, lint.Analyzers())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "slacksimlint:", err)
-		return 1
-	}
-	if len(findings) == 0 {
-		return 0
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	return 2
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -32,10 +32,6 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-func brokenMod(t *testing.T) string {
-	return filepath.Join(repoRoot(t), "internal", "lint", "testdata", "brokenmod")
-}
-
 // TestStandaloneCleanOnRepo is the CI gate in miniature: the binary must
 // exit 0 over the real repository.
 func TestStandaloneCleanOnRepo(t *testing.T) {
@@ -49,44 +45,6 @@ func TestStandaloneCleanOnRepo(t *testing.T) {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("slacksimlint on the repo should exit 0, got %v\nstdout:\n%s\nstderr:\n%s",
 			err, stdout.String(), stderr.String())
-	}
-}
-
-// TestStandaloneFlagsBrokenMod pins the PR 1 regression: the
-// reconstructed unlocked-Broadcast module must fail with a condlock
-// finding and exit status 1.
-func TestStandaloneFlagsBrokenMod(t *testing.T) {
-	bin := buildTool(t)
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, brokenMod(t))
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("want exit 1 on brokenmod, got %v\nstdout:\n%s\nstderr:\n%s",
-			err, stdout.String(), stderr.String())
-	}
-	if !bytes.Contains(stdout.Bytes(), []byte("condlock")) ||
-		!bytes.Contains(stdout.Bytes(), []byte("lost-wakeup")) {
-		t.Fatalf("findings should name condlock and the lost-wakeup, got:\n%s", stdout.String())
-	}
-}
-
-// TestVetToolFlagsBrokenMod drives the binary through the go command's
-// vet protocol (-vettool): go vet must fail on the broken module and
-// surface the condlock diagnostic.
-func TestVetToolFlagsBrokenMod(t *testing.T) {
-	bin := buildTool(t)
-	var out bytes.Buffer
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = brokenMod(t)
-	cmd.Stdout, cmd.Stderr = &out, &out
-	err := cmd.Run()
-	if err == nil {
-		t.Fatalf("go vet -vettool should fail on brokenmod, got success\n%s", out.String())
-	}
-	if !bytes.Contains(out.Bytes(), []byte("lost-wakeup")) {
-		t.Fatalf("vet output should carry the condlock diagnostic, got:\n%s", out.String())
 	}
 }
 
@@ -175,25 +133,5 @@ func TestReadmeNamesSuite(t *testing.T) {
 		if !bytes.Contains(readme, []byte(a.Name)) {
 			t.Errorf("README.md does not mention analyzer %s", a.Name)
 		}
-	}
-}
-
-// TestVersionAndFlagsProtocol checks the two go-command handshake calls.
-func TestVersionAndFlagsProtocol(t *testing.T) {
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	if !bytes.HasPrefix(out, []byte("slacksimlint version ")) {
-		t.Fatalf("-V=full output %q must start with %q for the go command's tool-ID parser",
-			out, "slacksimlint version ")
-	}
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	if want := []byte("[]\n"); !bytes.Equal(out, want) {
-		t.Fatalf("-flags printed %q, want %q", out, want)
 	}
 }

@@ -10,16 +10,14 @@ import (
 
 // A Program is the whole set of packages one lint run can see, plus the
 // lazily-built call graph and per-analysis summary caches shared by the
-// interprocedural analyzers. In standalone mode the Program spans the
-// entire module (cross-package summaries); in vet mode and in fixture
-// tests it holds a single package, so interprocedural facts stop at the
-// package boundary — standalone is the stronger, authoritative gate.
+// interprocedural analyzers. For slacksimlint the Program spans the
+// entire module (cross-package summaries); in fixture tests it holds a
+// single package, so interprocedural facts stop at the package boundary.
 type Program struct {
 	pkgs   []*Package
 	byPath map[string]*Package
 
 	cg     *CallGraph
-	facts  map[string]any                 // per-analysis program-wide facts
 	sums   map[string]map[*types.Func]any // per-analysis summary caches
 	allows map[*Package][]*allowSite      // per-package allow directives
 }
@@ -30,7 +28,6 @@ type Program struct {
 func NewProgram(pkgs ...*Package) *Program {
 	p := &Program{
 		byPath: map[string]*Package{},
-		facts:  map[string]any{},
 		sums:   map[string]map[*types.Func]any{},
 		allows: map[*Package][]*allowSite{},
 	}
@@ -47,9 +44,6 @@ func NewProgram(pkgs ...*Package) *Program {
 	sort.Slice(p.pkgs, func(i, j int) bool { return p.pkgs[i].ImportPath < p.pkgs[j].ImportPath })
 	return p
 }
-
-// Packages returns the program's packages sorted by import path.
-func (p *Program) Packages() []*Package { return p.pkgs }
 
 // allowsFor parses (once) and returns the //lint:allow sites of pkg.
 func (p *Program) allowsFor(pkg *Package) []*allowSite {
@@ -113,18 +107,6 @@ func (p *Program) AllowInventory() []AllowInfo {
 		return a.Line < b.Line
 	})
 	return out
-}
-
-// Fact returns the program-wide fact for key, building it on first use.
-// Analyzers use it to compute whole-program collections (e.g. the set of
-// atomically-accessed fields) exactly once per lint run.
-func (p *Program) Fact(key string, build func() any) any {
-	if f, ok := p.facts[key]; ok {
-		return f
-	}
-	f := build()
-	p.facts[key] = f
-	return f
 }
 
 // A FuncNode is one call-graph node: a function or method with a
@@ -291,7 +273,9 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, unknow
 	}
 	switch obj := obj.(type) {
 	case *types.Func:
-		return obj, false
+		// A method of a generic type is used through its instantiation;
+		// the graph and the summaries hold the declared method.
+		return obj.Origin(), false
 	case *types.Builtin, *types.TypeName, nil:
 		return nil, false
 	default:
@@ -322,6 +306,7 @@ func collectEdges(info *types.Info, body ast.Node, n *FuncNode,
 		if fn == nil {
 			return
 		}
+		fn = fn.Origin()
 		if !seen[fn] {
 			seen[fn] = true
 			n.Callees = append(n.Callees, fn)

@@ -71,13 +71,9 @@ func runDeterminism(pass *Pass) error {
 	return nil
 }
 
-// isResultPackage matches the package path (possibly a vet test-variant
-// form like "m/internal/engine [m/internal/engine.test]") against the
+// isResultPackage matches the package path against the
 // result-affecting list.
 func isResultPackage(path string) bool {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	for _, suffix := range resultPackages {
 		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
 			return true

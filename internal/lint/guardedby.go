@@ -20,9 +20,9 @@ var guardedByRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*(?:\.[A-
 // GuardedBy enforces annotation-declared lock ownership: a struct field
 // carrying a "// guarded by mu" comment may only be read while mu (or
 // its read half) is held, and only be written while mu is held
-// exclusively. The analysis is intra-package and path-directed (same
-// lock-state model as condlock); functions named *Locked are exempt by
-// the repo-wide "caller holds the lock" convention, and accesses to
+// exclusively. The analysis is intra-package and path-directed (heldAt's
+// lock-state model); functions named *Locked are exempt by the
+// repo-wide "caller holds the lock" convention, and accesses to
 // objects freshly constructed in the same function (not yet published)
 // are exempt.
 var GuardedBy = &Analyzer{

@@ -45,9 +45,9 @@ const hotpathDirective = "//slacksim:hotpath"
 // Soundness boundary: callees without source in the analyzed program
 // (stdlib, export data) are assumed allocation-free except a small
 // denylist of known allocators (the fmt package, errors.New/Errorf,
-// strings.Join/Repeat, sort.Slice/SliceStable) — in vet mode the
+// strings.Join/Repeat, sort.Slice/SliceStable); in fixture tests the
 // program is a single package, so cross-package propagation only
-// happens in standalone mode. Calls through unresolvable function
+// happens in whole-module runs. Calls through unresolvable function
 // values are not propagated.
 //
 // Genuinely-unavoidable allocations (pool warm-up, rare resize paths)

@@ -6,8 +6,6 @@
 // program — the invariants that keep the parallel host deterministic,
 // lock-correct, and allocation-free on its hot paths:
 //
-//   - condlock: every sync.Cond Broadcast/Signal must happen while the
-//     cond's own locker is held (the PR 1 lost-wakeup bug class).
 //   - determinism: result-affecting packages must not read the wall
 //     clock, use the global math/rand generator, or let map iteration
 //     order escape into ordered output.
@@ -18,15 +16,17 @@
 //   - poolescape: memory from //slacksim:pooled allocators must not
 //     outlive its pool's Reset/Release, and SnapshotInto/CopyInto must
 //     copy rather than alias (the PR 8 recycled-slice bug class).
-//   - atomicfield: a field ever accessed via sync/atomic must be
-//     accessed atomically everywhere outside its constructor.
 //   - keyappend: //slacksim:appendonly key builders must match their
 //     pinned segment schema, additions at the tail only.
 //
-// hotpathalloc, poolescape, atomicfield, and keyappend are
-// interprocedural: they share a call graph and per-function summary
-// framework (Program, CallGraph, Summaries) that propagates facts
-// bottom-up over SCCs — see DESIGN.md §17.
+// hotpathalloc, poolescape, and keyappend are interprocedural: they
+// share a call graph and per-function summary framework (Program,
+// CallGraph, Summaries) that propagates facts bottom-up over SCCs — see
+// DESIGN.md §17.
+//
+// cmd/slacksimlint is the only front end: the offline loader (load.go)
+// type-checks every package of the module from source into one Program,
+// and the suite runs over each package of it.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the suite can be ported to the real
@@ -68,8 +68,8 @@ type Analyzer struct {
 }
 
 // A Pass provides one analyzer run with a single type-checked package.
-// Prog is the surrounding Program: the whole module in standalone mode,
-// the single package under analysis in vet mode and fixture tests.
+// Prog is the surrounding Program: the whole module for slacksimlint,
+// the single package under analysis in fixture tests.
 // Interprocedural analyzers reach the call graph and summary caches
 // through it; it is never nil.
 type Pass struct {
@@ -81,16 +81,6 @@ type Pass struct {
 	Prog     *Program
 
 	report func(Diagnostic)
-}
-
-// Package returns the loaded package this pass analyzes.
-func (p *Pass) Package() *Package {
-	for _, pkg := range p.Prog.pkgs {
-		if pkg.Types == p.Pkg {
-			return pkg
-		}
-	}
-	return nil
 }
 
 // Reportf records one finding at pos.
@@ -118,8 +108,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CondLock, Determinism, HotPathAlloc, GuardedBy,
-		PoolEscape, AtomicField, KeyAppend}
+	return []*Analyzer{Determinism, HotPathAlloc, GuardedBy, PoolEscape, KeyAppend}
 }
 
 // ByName returns the named analyzers (nil names → full suite).
@@ -207,31 +196,10 @@ func collectAllows(fset *token.FileSet, files []*ast.File) []*allowSite {
 	return sites
 }
 
-// RunPackage applies the analyzers to one type-checked package and
+// runPackageInProgram applies the analyzers to one package of prog and
 // returns the findings that survive //lint:allow filtering, sorted by
 // position. Findings in _test.go files are dropped: the invariants
-// target production code, and the vet driver feeds test variants of
-// every package through the same checker.
-//
-// The package is wrapped in a single-package Program, so interprocedural
-// analyzers see facts within the package but not across packages — the
-// vet-mode soundness boundary. Callers holding a whole-module Program
-// (the standalone loader) use Program-aware paths instead.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package,
-	info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
-
-	lp := &Package{
-		ImportPath: pkg.Path(),
-		Fset:       fset,
-		Files:      files,
-		Types:      pkg,
-		Info:       info,
-	}
-	return runPackageInProgram(NewProgram(lp), lp, analyzers)
-}
-
-// runPackageInProgram is RunPackage with an explicit surrounding
-// Program (whole-module in standalone mode).
+// target production code.
 func runPackageInProgram(prog *Program, lp *Package, analyzers []*Analyzer) ([]Finding, error) {
 	fset, files, pkg, info := lp.Fset, lp.Files, lp.Types, lp.Info
 	// Share the Program's parsed sites so a directive consumed here (or
@@ -338,7 +306,7 @@ func enclosingFunc(path []ast.Node) (body *ast.BlockStmt, decl *ast.FuncDecl) {
 }
 
 // canonExpr renders an expression as a canonical access path ("r.mu",
-// "q.cond.L", "m.shards[i]") for intra-function lock matching. The empty
+// "q.job.mu", "m.shards[i]") for intra-function lock matching. The empty
 // string means the expression has no stable path (calls, literals, ...).
 func canonExpr(e ast.Expr) string {
 	switch e := e.(type) {

@@ -16,7 +16,7 @@ import (
 	"sync"
 )
 
-// Package is one loaded, type-checked package ready for RunPackage.
+// Package is one loaded, type-checked package ready for Lint.
 type Package struct {
 	Dir        string
 	ImportPath string
@@ -26,7 +26,7 @@ type Package struct {
 	Info       *types.Info
 
 	// prog is the Program this package was loaded into: whole-module
-	// for Loader.LoadAll, single-package for LoadDir and RunPackage.
+	// for Loader.LoadAll, single-package for LoadDir.
 	prog *Program
 }
 

@@ -63,23 +63,9 @@ func heldAt(info *types.Info, body *ast.BlockStmt, target ast.Node) map[string]h
 	}
 
 	// Walk the path outermost→innermost. At each statement-list node,
-	// scan the statements preceding the path's next step.
-	apply := func(stmt ast.Stmt) {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				applyLockCall(info, call, held)
-			}
-		case *ast.DeferStmt:
-			// defer X.Unlock() keeps the lock held until return; defer
-			// X.Lock() (pathological) is ignored.
-		case *ast.AssignStmt:
-			// `defer func() {...}` assignments et al.: no lock effect on
-			// the straight-line path.
-		}
-	}
-
-	// containsNode reports whether child's range covers the next path node.
+	// apply the lock calls among the statements preceding the path's
+	// next step. Only expression statements count: defer X.Unlock()
+	// keeps the lock held until return.
 	for i := 0; i < len(path); i++ {
 		var list []ast.Stmt
 		switch n := path[i].(type) {
@@ -103,7 +89,11 @@ func heldAt(info *types.Info, body *ast.BlockStmt, target ast.Node) map[string]h
 			if containsPos(st, target) {
 				break
 			}
-			apply(st)
+			if es, ok := st.(*ast.ExprStmt); ok {
+				if call, ok := es.X.(*ast.CallExpr); ok {
+					applyLockCall(info, call, held)
+				}
+			}
 		}
 	}
 	return held
@@ -132,4 +122,30 @@ func applyLockCall(info *types.Info, call *ast.CallExpr, held map[string]heldLoc
 	case "Unlock", "RUnlock":
 		delete(held, canon)
 	}
+}
+
+// baseOf returns the leading component of a canonical path ("r.mu" →
+// "r"), or "" when there is none.
+func baseOf(canon string) string {
+	for i := 0; i < len(canon); i++ {
+		if canon[i] == '.' || canon[i] == '[' {
+			return canon[:i]
+		}
+	}
+	return canon
+}
+
+// assignTargetObj resolves the object an assignment LHS denotes: a
+// variable (Uses or Defs for :=) or a struct field (selector).
+func assignTargetObj(info *types.Info, lhs ast.Expr) types.Object {
+	switch lhs := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		if o := info.Defs[lhs]; o != nil {
+			return o
+		}
+		return info.Uses[lhs]
+	case *ast.SelectorExpr:
+		return info.Uses[lhs.Sel]
+	}
+	return nil
 }

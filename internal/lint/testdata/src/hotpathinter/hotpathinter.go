@@ -160,3 +160,19 @@ func mustPositive(v int) {
 		panic(fmt.Sprintf("bad v=%d", v)) // panic arguments are cold: exempt
 	}
 }
+
+// stack is generic: calls reach its methods through an instantiation,
+// and the summaries must still find the declared method.
+type stack[T any] struct{ items []T }
+
+func (s *stack[T]) push(v T) { s.items = append(s.items, v) }
+
+//slacksim:hotpath
+func (s *stack[T]) hotPush(v T) {
+	s.push(v) // want `call to push .* allocates: append to s.items`
+}
+
+//slacksim:hotpath
+func hotPushInt(s *stack[int]) {
+	s.push(1) // want `call to push .* allocates: append to s.items`
+}

@@ -122,3 +122,23 @@ func deposit(p *pool) {
 	e.buf = append(e.buf, 1)
 	p.live = append(p.live, e)
 }
+
+// gpool is generic: its pooled Get is called through an instantiation.
+type gpool[T any] struct{ free []*T }
+
+//slacksim:pooled
+func (p *gpool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free = p.free[:n-1]
+		return v
+	}
+	return new(T)
+}
+
+var leakedInt *int
+
+func useGlobalGeneric(p *gpool[int]) {
+	v := p.Get()
+	leakedInt = v // want `stored to package-level variable leakedInt`
+}

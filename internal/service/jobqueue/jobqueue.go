@@ -235,7 +235,7 @@ const DefaultRetention = 4096
 // Queue is the bounded FIFO. All methods are safe for concurrent use.
 type Queue struct {
 	mu        sync.Mutex
-	cond      *sync.Cond
+	changed   chan struct{}   // guarded by mu; wakeLocked closes and replaces it
 	capacity  int             // guarded by mu
 	retention int             // guarded by mu
 	pending   []*Job          // guarded by mu
@@ -254,9 +254,21 @@ func New(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{capacity: capacity, retention: DefaultRetention, jobs: make(map[string]*Job)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &Queue{
+		changed:   make(chan struct{}),
+		capacity:  capacity,
+		retention: DefaultRetention,
+		jobs:      make(map[string]*Job),
+	}
+}
+
+// wakeLocked releases every goroutine waiting in Next or Drain. A waiter
+// reads q.changed under q.mu together with the state it tests, so a
+// change made after that read closes the very channel it waits on: no
+// wakeup is lost. Callers hold q.mu.
+func (q *Queue) wakeLocked() {
+	close(q.changed)
+	q.changed = make(chan struct{})
 }
 
 // SetRetention bounds how many terminal jobs Get can still find (min 1).
@@ -302,7 +314,7 @@ func (q *Queue) Submit(key string, payload any) (*Job, error) {
 	q.jobs[j.ID] = j
 	q.pending = append(q.pending, j)
 	q.submitted++
-	q.cond.Broadcast()
+	q.wakeLocked()
 	return j, nil
 }
 
@@ -327,7 +339,7 @@ func (q *Queue) Restore(id, key string, payload any) (*Job, error) {
 	q.jobs[id] = j
 	q.pending = append(q.pending, j)
 	q.nRestored++
-	q.cond.Broadcast()
+	q.wakeLocked()
 	return j, nil
 }
 
@@ -356,9 +368,8 @@ func (q *Queue) Get(id string) (*Job, bool) {
 // returns it. It returns ErrClosed once the queue is closed AND the FIFO
 // has drained, so workers naturally finish the backlog before exiting.
 func (q *Queue) Next() (*Job, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for {
+		q.mu.Lock()
 		if len(q.pending) > 0 {
 			j := q.pending[0]
 			q.pending = q.pending[1:]
@@ -366,12 +377,15 @@ func (q *Queue) Next() (*Job, error) {
 			j.state = Running
 			j.mu.Unlock()
 			q.running++
+			q.mu.Unlock()
 			return j, nil
 		}
-		if q.closed {
+		closed, changed := q.closed, q.changed
+		q.mu.Unlock()
+		if closed {
 			return nil, ErrClosed
 		}
-		q.cond.Wait()
+		<-changed
 	}
 }
 
@@ -400,7 +414,7 @@ func (q *Queue) Cancel(id string) error {
 	q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
 	q.nCancelled++
 	q.noteTerminalLocked(j.ID)
-	q.cond.Broadcast()
+	q.wakeLocked()
 	q.mu.Unlock()
 	j.finish(Cancelled, nil, ErrCancelled)
 	return nil
@@ -431,7 +445,7 @@ func (q *Queue) Eject(id string) error {
 	q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
 	q.nMigrated++
 	q.noteTerminalLocked(j.ID)
-	q.cond.Broadcast()
+	q.wakeLocked()
 	q.mu.Unlock()
 	j.finish(Migrated, nil, ErrMigrated)
 	return nil
@@ -464,7 +478,7 @@ func (q *Queue) Finish(j *Job, result any, err error) {
 		q.nMigrated++
 	}
 	q.noteTerminalLocked(j.ID)
-	q.cond.Broadcast()
+	q.wakeLocked()
 	q.mu.Unlock()
 }
 
@@ -473,7 +487,7 @@ func (q *Queue) Finish(j *Job, result any, err error) {
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Broadcast()
+	q.wakeLocked()
 	q.mu.Unlock()
 }
 
@@ -481,25 +495,20 @@ func (q *Queue) Close() {
 // and no job running) or ctx expires. It does not itself stop admission;
 // call Close first for a terminal drain.
 func (q *Queue) Drain(ctx context.Context) error {
-	// The wakeup must be issued under q.mu: an unlocked Broadcast can
-	// fire in the window between the loop's predicate test below and
-	// cond.Wait, and that waiter would then sleep past the cancellation
-	// (the same lost-wakeup class as the PR 1 parallel-host shutdown bug).
-	stop := context.AfterFunc(ctx, func() {
+	for {
 		q.mu.Lock()
-		q.cond.Broadcast()
+		idle := len(q.pending) == 0 && q.running == 0
+		changed := q.changed
 		q.mu.Unlock()
-	})
-	defer stop()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.pending) > 0 || q.running > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+		if idle {
+			return nil
 		}
-		q.cond.Wait()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	return nil
 }
 
 // Stats snapshots the counters.

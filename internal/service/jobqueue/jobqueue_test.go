@@ -299,3 +299,69 @@ func TestConcurrentSubmitPop(t *testing.T) {
 		t.Fatalf("popped %d != accepted %d", popped, accepted)
 	}
 }
+
+// TestDrainWakesWhenPendingJobsLeave runs Drain with pending jobs and no
+// worker: it must return nil once the last pending job leaves the FIFO,
+// whether by Cancel or by Eject.
+func TestDrainWakesWhenPendingJobsLeave(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove func(q *Queue, id string) error
+	}{
+		{"cancel", (*Queue).Cancel},
+		{"eject", (*Queue).Eject},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New(4)
+			a, _ := q.Submit("a", nil)
+			b, _ := q.Submit("b", nil)
+			ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+			defer stop()
+			drained := make(chan error, 1)
+			go func() { drained <- q.Drain(ctx) }()
+			if err := tc.remove(q, a.ID); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-drained:
+				t.Fatalf("Drain returned %v with %s still pending", err, b.ID)
+			case <-time.After(20 * time.Millisecond):
+			}
+			if err := tc.remove(q, b.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain after the last pending job left: %v", err)
+			}
+		})
+	}
+}
+
+// TestCloseReleasesEveryWaitingNext parks several workers in Next on an
+// empty queue: Close must release all of them with ErrClosed.
+func TestCloseReleasesEveryWaitingNext(t *testing.T) {
+	q := New(4)
+	const workers = 8
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			_, err := q.Next()
+			errs <- err
+		}()
+	}
+	// Let the workers park first: a worker that reaches Next after Close
+	// returns without waiting, and would not test the wakeup.
+	time.Sleep(20 * time.Millisecond)
+	q.Close()
+	timeout := time.After(5 * time.Second)
+	for w := 0; w < workers; w++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("Next after Close: %v, want ErrClosed", err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d workers still waiting in Next after Close", workers-w, workers)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# lint.sh — run the slacksimlint analyzer suite (standalone and as a
-# go vet backend) plus govulncheck, failing on any finding.
+# lint.sh — run the slacksimlint analyzer suite over the module, audit
+# its //lint:allow waivers, and run govulncheck, failing on any finding.
 #
 # Usage: scripts/lint.sh
 #
@@ -24,34 +24,29 @@ summary() {
 
 fail=0
 
-# 1. Standalone mode over the whole module (offline: loads and
-#    type-checks every package from source, fixtures excluded). Run once
-#    per analyzer so the job summary shows where findings cluster; the
-#    interprocedural analyzers (poolescape, atomicfield, hotpathalloc,
-#    keyappend) only see whole-module summaries in this mode, so it is
-#    the authoritative gate.
-echo "==> slacksimlint (standalone) ./..."
-analyzers=$("./$BIN" -list . | awk '{print $1}')
+# 1. One run of the whole suite over the whole module (offline: loads and
+#    type-checks every package from source once, fixtures excluded). The
+#    interprocedural analyzers see whole-module summaries. The job
+#    summary's per-analyzer counts are taken from this run's findings,
+#    which read "<file>:<line>:<col>: <analyzer>: <message>".
+echo "==> slacksimlint ./..."
+if out=$("./$BIN" . 2>&1); then
+  echo "clean"
+else
+  fail=1
+  echo "$out"
+  summary "## slacksimlint findings" '' '```' "$out" '```'
+fi
 counts=""
-for a in $analyzers; do
-  if out=$("./$BIN" -only "$a" . 2>&1); then
-    n=0
-  else
-    n=$(printf '%s\n' "$out" | grep -c ": $a: " || true)
-    fail=1
-    echo "$out"
-    summary "## slacksimlint findings ($a)" '' '```' "$out" '```'
-  fi
+for a in $("./$BIN" -list | awk '{print $1}') lintdirective; do
+  n=$(printf '%s\n' "$out" | grep -c ": $a: " || true)
   counts="$counts| $a | $n |"$'\n'
 done
 summary "## slacksimlint findings per analyzer" '' \
         '| analyzer | findings |' '| --- | --- |' "$counts"
-if [ "$fail" -eq 0 ]; then
-  echo "clean"
-fi
 
-# 1b. Waiver inventory: every //lint:allow must carry a reason and must
-#     still suppress something. Stale or unjustified waivers fail.
+# 2. Waiver inventory: every //lint:allow must carry a reason and must
+#    still suppress something. Stale or unjustified waivers fail.
 echo "==> slacksimlint -allows (waiver inventory)"
 if ! out=$("./$BIN" -allows . 2>&1); then
   fail=1
@@ -59,17 +54,6 @@ if ! out=$("./$BIN" -allows . 2>&1); then
   summary "## stale or unjustified //lint:allow directives" '' '```' "$out" '```'
 else
   echo "clean ($(printf '%s\n' "$out" | grep -c . || true) waivers, all used and justified)"
-fi
-
-# 2. Vet mode: the same analyzers driven by the go command's unitchecker
-#    protocol, which also covers the test variants of every package.
-echo "==> go vet -vettool=$BIN ./..."
-if ! out=$(go vet -vettool="$(pwd)/$BIN" ./... 2>&1); then
-  fail=1
-  echo "$out"
-  summary "## go vet -vettool findings" '' '```' "$out" '```'
-else
-  echo "clean"
 fi
 
 # 3. govulncheck, when installed (the container image may not ship it;
@@ -91,5 +75,5 @@ if [ "$fail" -ne 0 ]; then
   echo "lint: FAILED"
   exit 1
 fi
-summary "## Lint" '' 'slacksimlint (standalone + vettool) and govulncheck: clean ✅'
+summary "## Lint" '' 'slacksimlint, its waiver inventory and govulncheck: clean ✅'
 echo "lint: OK"
