@@ -6,11 +6,10 @@
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 //
-// Inventory (-allows): run the full suite, then list every //lint:allow
-// directive with its position, analyzers, and reason. Directives that
-// suppressed nothing are tagged UNUSED and directives without a reason
-// NO REASON; either makes the exit status 1, so the waiver inventory is
-// a CI gate against stale or unjustified escapes.
+// -allows prints the findings, then every //lint:allow directive with its
+// position, analyzers and reason, tagged UNUSED if it suppressed nothing
+// and NO REASON if it has none; either fails the run as a finding does.
+// A waiver is audited against the whole suite, so -allows refuses -only.
 //
 // -list prints the analyzer suite (name and first doc sentence).
 package main
@@ -29,7 +28,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("slacksimlint", flag.ContinueOnError)
 	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
-	allows := fs.Bool("allows", false, "inventory //lint:allow directives instead of printing findings")
+	allows := fs.Bool("allows", false, "after the findings, inventory //lint:allow directives and fail on stale or unjustified ones")
 	list := fs.Bool("list", false, "list the analyzer suite and exit")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: slacksimlint [-only a,b] [-allows] [-list] [module-dir]")
@@ -59,6 +58,9 @@ func run(args []string) int {
 	}
 
 	analyzers, err := selectAnalyzers(*only)
+	if err == nil && *allows && *only != "" {
+		err = fmt.Errorf("-allows audits waivers against the whole suite; drop -only")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slacksimlint:", err)
 		return 2
@@ -81,24 +83,22 @@ func run(args []string) int {
 			return 2
 		}
 		for _, f := range findings {
-			if *allows {
-				continue // inventory mode runs the suite only to observe usage
-			}
 			total++
 			fmt.Println(f)
 		}
 	}
-	if *allows {
-		return printAllowInventory(pkgs)
-	}
+	status := min(total, 1)
 	if total > 0 {
 		fmt.Fprintf(os.Stderr, "slacksimlint: %d finding(s)\n", total)
-		return 1
 	}
-	return 0
+	if *allows {
+		status = max(status, printAllowInventory(pkgs))
+	}
+	return status
 }
 
-// printAllowInventory lists every //lint:allow directive with its usage,
+// printAllowInventory lists every //lint:allow directive, one
+// "<file>:<line>: <analyzers> -- <reason>" line each, with its usage
 // observed from the suite run that just completed. Stale (UNUSED) or
 // unjustified (NO REASON) directives fail the audit.
 func printAllowInventory(pkgs []*lint.Package) int {

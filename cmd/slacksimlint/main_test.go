@@ -49,8 +49,10 @@ func TestStandaloneCleanOnRepo(t *testing.T) {
 }
 
 // TestAllowInventoryMode exercises -allows on a fixture module with one
-// used waiver, one stale waiver, and one reason-less waiver: the stale
-// and reason-less ones are tagged and fail the audit.
+// used waiver, one stale waiver, and one reason-less waiver: the one run
+// prints the findings (the reason-less waiver is one) and then the
+// inventory, where the stale and reason-less ones are tagged and fail the
+// audit.
 func TestAllowInventoryMode(t *testing.T) {
 	bin := buildTool(t)
 	dir := filepath.Join(repoRoot(t), "internal", "lint", "testdata", "allowmod")
@@ -65,6 +67,7 @@ func TestAllowInventoryMode(t *testing.T) {
 	}
 	out := stdout.String()
 	for _, want := range []string{
+		"lintdirective: //lint:allow directive is missing its mandatory reason",
 		"a used, justified waiver", // the clean one is listed, untagged
 		"[UNUSED]",
 		"[NO REASON]",
@@ -75,6 +78,17 @@ func TestAllowInventoryMode(t *testing.T) {
 	}
 	if bytes.Contains(stdout.Bytes(), []byte("a used, justified waiver  [")) {
 		t.Errorf("the used waiver must not be tagged, got:\n%s", out)
+	}
+}
+
+// TestAllowsNeedsWholeSuite: with -only, a waiver for an analyzer left
+// out would read as unused, so -allows refuses the subset.
+func TestAllowsNeedsWholeSuite(t *testing.T) {
+	bin := buildTool(t)
+	dir := filepath.Join(repoRoot(t), "internal", "lint", "testdata", "allowmod")
+	err := exec.Command(bin, "-allows", "-only", "guardedby", dir).Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-allows -only should exit 2, got %v", err)
 	}
 }
 

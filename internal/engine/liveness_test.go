@@ -22,8 +22,9 @@ import (
 // TestWatchdogStallDump wedges one worker on purpose through wedgeHook, so
 // the manager waits at the barrier for an arrival that never comes, and
 // asserts the watchdog's force-stop releases that wait and fails the run
-// with the structured per-core dump instead of hanging. The wedged worker
-// leaves only once the run is stopped, without arriving.
+// with the structured per-core dump, naming worker 1 as the one that never
+// arrived, instead of hanging. The wedged worker leaves only once the run
+// is stopped, without arriving.
 func TestWatchdogStallDump(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	wedgeHook = func(w int, stop *atomic.Bool) {
@@ -70,8 +71,11 @@ func TestWatchdogStallDump(t *testing.T) {
 				c.Core, c, wantLocal, wantParked)
 		}
 	}
+	if serr.Round != 1 || len(serr.Behind) != 1 || serr.Behind[0] != 1 {
+		t.Errorf("dump names workers %v behind round %d, want [1] behind round 1", serr.Behind, serr.Round)
+	}
 	msg := serr.Error()
-	for _, want := range []string{"stalled", "no progress", "core 0:", "core 3:", "parked="} {
+	for _, want := range []string{"stalled", "no progress", "worker 1: never arrived in round 1", "core 0:", "core 3:", "parked="} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("dump message missing %q:\n%s", want, msg)
 		}

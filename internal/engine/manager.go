@@ -31,10 +31,11 @@ func comparePending(pa, pb pendingReq) int {
 	return cmp.Compare(pa.arr, pb.arr)
 }
 
-// observation is the manager's reading of the core clocks, taken by
-// observe whenever no core is ticking: between two rounds on the parallel
-// host; on the deterministic host once, then carried forward from pick to
-// pick by detRun.advance, which keeps it equal to what observe returns.
+// observation is the manager's reading of the core clocks while no core
+// is ticking. On the parallel host each worker folds its own partition at
+// the end of a round and the manager merges the partitions; on the
+// deterministic host observe takes it once, then detRun.advance carries it
+// forward from pick to pick. Either way it equals what observe returns.
 type observation struct {
 	min       int64  // minimum local time over non-retired cores; -1 when none is left
 	atMin     int    // non-retired cores whose local time is min
@@ -54,6 +55,22 @@ func (o *observation) add(now int64, committed uint64, retired bool) {
 		o.min, o.atMin = now, 1
 	case now == o.min:
 		o.atMin++
+	}
+}
+
+// merge folds another observation into this one: merging the observations
+// of disjoint sets of cores gives the observation of their union.
+func (o *observation) merge(p observation) {
+	o.local += p.local
+	o.committed += p.committed
+	o.retired += p.retired
+	switch {
+	case p.min < 0:
+		// Every core of p has retired.
+	case o.min < 0 || p.min < o.min:
+		o.min, o.atMin = p.min, p.atMin
+	case p.min == o.min:
+		o.atMin += p.atMin
 	}
 }
 
@@ -235,6 +252,12 @@ func (g *manager) recomputeGlobal(o observation) {
 func (g *manager) step(o observation) {
 	g.recomputeGlobal(o)
 	g.drainAll()
+	g.settle(o)
+}
+
+// settle is the rest of a step once the GQ holds every request the cores
+// have issued: service, progress, adaptation.
+func (g *manager) settle(o observation) {
 	g.service()
 	g.prog.maybe(g.global, o.committed, o.counter())
 	if !g.pendingRollback {
@@ -250,15 +273,19 @@ func (g *manager) flush(o observation) {
 	g.serviceAll()
 }
 
-// drainAll merges every core's OutQ into the GQ, stamping arrival order
-// (one DrainInto per queue into a reused buffer: no allocations). In cycle-by-cycle mode each request is sifted down to its
+// drainAll merges every core's OutQ into the GQ.
+func (g *manager) drainAll() { g.drainCores(0, len(g.m.outQs)) }
+
+// drainCores merges the OutQs of cores lo..hi-1 into the GQ, stamping
+// arrival order (one DrainInto per queue into a reused buffer: no
+// allocations). In cycle-by-cycle mode each request is sifted down to its
 // place in arbitration order; arrivals carry the latest timestamps, so the
 // sift is nearly always zero or one step.
 //
 //slacksim:hotpath
-func (g *manager) drainAll() {
+func (g *manager) drainCores(lo, hi int) {
 	ordered := g.mode() == CC
-	for _, q := range g.m.outQs {
+	for _, q := range g.m.outQs[lo:hi] {
 		if q.Len() == 0 {
 			// The common case by far (the deterministic host steps after
 			// every chunk of one core): skip the call.

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"slacksim/internal/core"
+	"slacksim/internal/event"
 )
 
 // p2pState is one core's Lax-P2P bookkeeping, owned by the worker whose
@@ -25,22 +28,26 @@ type p2pState struct {
 // calling goroutine, which also runs the embedded manager. One round is
 //
 //	manager sets the wall and releases → every worker ticks its cores up
-//	to the wall (or until they halt or are Lax-P2P-gated) and arrives →
-//	manager observes, steps, checkpoints at a boundary, checks done
+//	to the wall (or until they halt or are Lax-P2P-gated), summarises its
+//	partition and arrives → manager merges the summaries, drains the
+//	partitions that reported a request, steps, checkpoints at a boundary,
+//	checks done
 //
 // Round contract (DESIGN.md §8). While a round runs, a worker touches only
-// its own cores, their queue ends, their retired flags and their Lax-P2P
-// state, and reads only what the manager fixed before the release: the
-// wall, the observed partner clocks, the scheme. Between rounds only the
-// manager runs. Release (round) and arrival (arrived) are sequentially
-// consistent atomics, so a worker's ticks happen before the manager's next
-// observation and the manager's servicing happens before the next round's
-// ticks; no clock is ever read while another goroutine may write it.
+// its own cores, their queue ends, their retired flags, their Lax-P2P state
+// and its own arrival slot, and reads only what the manager fixed before
+// the release: the wall, the observed partner clocks, the scheme. Between
+// rounds only the manager runs, and it reads no other partition's clocks
+// except for the Lax-P2P view (endRound) and a checkpoint's capture. A
+// round costs two cache-line hand-offs: the release line (round and wall),
+// which only the manager writes, and one arrival slot per worker, which
+// only that worker writes. Both are published by atomics, so a worker's
+// ticks and summary happen before the manager reads its slot, and the
+// manager's servicing happens before the next round's ticks.
 type parRun struct {
 	manager
 
 	workers int
-	wall    int64 // this round's max local time, fixed before the release
 
 	// p2p is per-core Lax-P2P state and seen the clocks the manager
 	// observed at the start of the round (unboundedSentinel for a retired
@@ -49,15 +56,72 @@ type parRun struct {
 	p2p  []p2pState
 	seen []int64
 
-	round   atomic.Uint64 // rounds released so far
-	arrived atomic.Uint64 // worker arrivals so far: workers-1 per round
-	stop    atomic.Bool   // sticky; ends every barrier wait
+	// slots holds one arrival slot per worker; the manager's own, slot 0,
+	// is written inline and never waited on.
+	slots []arrival
+
+	// The release line: only the manager writes it, every worker polls it.
+	// Full-line pads on both sides keep it apart from the manager's other
+	// fields and from stop whatever the struct's alignment.
+	_     [cacheLine]byte
+	round atomic.Uint64 // rounds released so far
+	wall  int64         // this round's max local time, fixed before the release
+	_     [cacheLine]byte
+	stop  atomic.Bool // sticky; ends every wait
+	_     [cacheLine]byte
 
 	// progress is the last observation's counter, published for the
 	// watchdog; stalled records that the watchdog force-stopped the run.
 	progress atomic.Uint64
 	stalled  atomic.Bool
 }
+
+// cacheLine is the length of the pads that keep hot words apart.
+const cacheLine = 64
+
+// summary is a partition's state at the end of a round, folded by the
+// worker that ticked it: the observation of its cores, how many active
+// cores reached the wall (the round's suspensions), and whether any of
+// its out-queues holds a request.
+type summary struct {
+	obs     observation
+	parked  uint64
+	pending bool
+}
+
+// merge folds another partition's summary into s.
+func (s *summary) merge(t summary) {
+	s.obs.merge(t.obs)
+	s.parked += t.parked
+	s.pending = s.pending || t.pending
+}
+
+// arrival is one worker's slot: the summary of its last round, then that
+// round's number. Storing the number is the arrival, and the manager's
+// load of it synchronises with the store, so the summary and every tick
+// before it happen before the manager reads them. Only the worker writes
+// its slot; the trailing pad keeps two slots off one cache line whatever
+// the slice's alignment.
+type arrival struct {
+	sum   summary
+	round atomic.Uint64 // rounds this worker has finished
+	_     [cacheLine]byte
+}
+
+// shard is a worker's static partition, cores lo..lo+len(cores)-1: the
+// cores, their retired flags and their out-queues. A worker captures it
+// once, so a round reads no field the manager writes between rounds.
+type shard struct {
+	lo      int
+	cores   []*core.Core
+	retired []bool
+	outQs   []*event.Queue[event.Request]
+}
+
+// roundHook, when non-nil, is called by the manager after every round,
+// once every worker has arrived, with the merged summary. Tests use it to
+// check the summary against a rescan. Always nil in production runs.
+var roundHook func(r *parRun, sum summary)
 
 // wedgeHook, when non-nil, is called by every worker other than the
 // manager at the start of each round. Tests use it to wedge one worker and
@@ -89,6 +153,7 @@ func RunParallel(m *Machine, cfg RunConfig) (Results, error) {
 	}
 	n := m.NumCores()
 	r := &parRun{manager: mgr, workers: min(runtime.GOMAXPROCS(0), n)}
+	r.slots = make([]arrival, r.workers)
 	// Lax-P2P pairing needs a partner to pick; on a single-core machine the
 	// gate degenerates to free-running (and Intn(0) would panic).
 	if r.cfg.Scheme.Kind == LaxP2P && n > 1 {
@@ -155,18 +220,35 @@ func RunParallel(m *Machine, cfg RunConfig) (Results, error) {
 // max local time capped at global + HostDriftCap, the same drift cap the
 // deterministic host applies, so unbounded and lax-p2p rounds stay short.
 func (r *parRun) managerLoop() {
+	own := r.shard(0)
 	for !r.stop.Load() {
 		r.wall = min(r.maxLocalTime(), r.global+r.cfg.HostDriftCap)
 		gen := r.round.Add(1)
-		r.tick(0)
-		if !r.wait(&r.arrived, gen*uint64(r.workers-1)) {
-			return
+		r.slots[0].sum = r.tick(own, r.wall)
+		sum := r.slots[0].sum
+		for w := 1; w < r.workers; w++ {
+			a := &r.slots[w]
+			if !r.wait(&a.round, gen) {
+				return
+			}
+			sum.merge(a.sum)
 		}
-		o := r.observe()
+		if roundHook != nil {
+			roundHook(r, sum)
+		}
+		r.meter.suspensions += sum.parked
 		r.endRound()
-		r.step(o)
-		r.progress.Store(o.counter())
-		if r.cfg.interrupted() || r.done(o) {
+		r.recomputeGlobal(sum.obs)
+		if sum.pending {
+			for w := range r.slots {
+				if r.slots[w].sum.pending {
+					r.drainCores(r.span(w))
+				}
+			}
+		}
+		r.settle(sum.obs)
+		r.progress.Store(sum.obs.counter())
+		if r.cfg.interrupted() || r.done(sum.obs) {
 			return
 		}
 		if r.nextCkpt > 0 && r.global == r.nextCkpt {
@@ -179,14 +261,16 @@ func (r *parRun) managerLoop() {
 	}
 }
 
-// worker is worker w ≥ 1: one partition ticked per released round.
+// worker is worker w ≥ 1: one partition ticked per released round, then
+// its summary and the round's number stored in its slot.
 func (r *parRun) worker(w int) {
+	own, a := r.shard(w), &r.slots[w]
 	for gen := uint64(1); r.wait(&r.round, gen); gen++ {
 		if wedgeHook != nil {
 			wedgeHook(w, &r.stop)
 		}
-		r.tick(w)
-		r.arrived.Add(1)
+		a.sum = r.tick(own, r.wall)
+		a.round.Store(gen)
 	}
 }
 
@@ -208,40 +292,57 @@ func (r *parRun) wait(x *atomic.Uint64, want uint64) bool {
 	return true
 }
 
-// tick advances worker w's partition to the wall. A core stops early when
-// it halts or its Lax-P2P gate closes.
-func (r *parRun) tick(w int) {
+// span returns worker w's static partition: cores lo..hi-1.
+func (r *parRun) span(w int) (lo, hi int) {
 	n := len(r.m.cores)
-	wall := r.wall
-	for i := w * n / r.workers; i < (w+1)*n/r.workers; i++ {
-		if r.retired[i] {
-			continue
-		}
-		c := r.m.cores[i]
-		for c.Now() < wall && (r.p2p == nil || r.p2pGate(i, c.Now())) {
-			c.Tick()
-			if c.Halted() {
-				r.retired[i] = true
-				break
-			}
-		}
-	}
+	return w * n / r.workers, (w + 1) * n / r.workers
 }
 
-// endRound is the manager's per-core bookkeeping after a round: an active
-// core that reached the wall waited for the round's end (one suspension, as
-// on the deterministic host), and the Lax-P2P gate's next view of the
-// clocks is taken.
-func (r *parRun) endRound() {
-	for i, c := range r.m.cores {
-		if !r.retired[i] && c.Now() >= r.wall {
-			r.meter.suspensions++
-		}
-		if r.seen != nil {
-			r.seen[i] = c.Now()
-			if r.retired[i] {
-				r.seen[i] = unboundedSentinel
+// shard captures worker w's partition.
+func (r *parRun) shard(w int) shard {
+	lo, hi := r.span(w)
+	return shard{lo: lo, cores: r.m.cores[lo:hi], retired: r.retired[lo:hi], outQs: r.m.outQs[lo:hi]}
+}
+
+// tick advances a partition to the wall and summarises it. A core stops
+// early when it halts or its Lax-P2P gate closes; an active core that
+// reached the wall waits for the round's end, one suspension, as on the
+// deterministic host.
+func (r *parRun) tick(s shard, wall int64) summary {
+	sum := summary{obs: observation{min: -1}}
+	for k, c := range s.cores {
+		if !s.retired[k] {
+			for c.Now() < wall && (r.p2p == nil || r.p2pGate(s.lo+k, c.Now())) {
+				c.Tick()
+				if c.Halted() {
+					s.retired[k] = true
+					break
+				}
 			}
+		}
+		now := c.Now()
+		sum.obs.add(now, c.Committed(), s.retired[k])
+		if !s.retired[k] && now >= wall {
+			sum.parked++
+		}
+		if s.outQs[k].Len() > 0 {
+			sum.pending = true
+		}
+	}
+	return sum
+}
+
+// endRound takes the Lax-P2P gate's next view of the clocks, the one read
+// of other partitions' clocks between rounds; a retired core reads as
+// unbounded.
+func (r *parRun) endRound() {
+	if r.seen == nil {
+		return
+	}
+	for i, c := range r.m.cores {
+		r.seen[i] = c.Now()
+		if r.retired[i] {
+			r.seen[i] = unboundedSentinel
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // CoreStall is one core's pacing state when a stalled run was stopped, as
 // captured for the structured failure dump. Parked means the core had
 // reached the round's wall (its max local time) and was waiting for the
-// round to end; an active core that is not parked belongs to the worker
-// that never arrived.
+// round to end; an active core that is not parked belongs to a worker
+// that never arrived (StallError.Behind names it).
 type CoreStall struct {
 	Core      int
 	LocalTime int64
@@ -26,7 +26,8 @@ type CoreStall struct {
 // committed an instruction, or retired) for a full wall-clock stall
 // budget. It carries a structured snapshot of the pacing state so a wedged
 // CI run fails with a diagnosis instead of hanging: per-core local/max-local
-// times, park/retire flags, the global time, and the manager's GQ depth.
+// times, park/retire flags, the workers that never arrived, the global
+// time, and the manager's GQ depth.
 type StallError struct {
 	// Budget is the wall-clock window that elapsed with no progress.
 	Budget time.Duration
@@ -34,6 +35,12 @@ type StallError struct {
 	Global int64
 	// GQDepth is the number of requests queued in the manager's GQ.
 	GQDepth int
+	// Round is the last round the manager released, and Behind the
+	// workers whose arrival slot had not reached it, in order. The
+	// manager, worker 0, ticks its own partition before it waits, so it is
+	// never behind.
+	Round  uint64
+	Behind []int
 	// Cores holds one entry per target core.
 	Cores []CoreStall
 	// Trace is the tail of the run's event ring (serviced requests,
@@ -52,6 +59,9 @@ func (e *StallError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine: parallel host stalled: no progress for %v at global=%d (gq depth %d)",
 		e.Budget, e.Global, e.GQDepth)
+	for _, w := range e.Behind {
+		fmt.Fprintf(&b, "\n  worker %d: never arrived in round %d", w, e.Round)
+	}
 	for _, c := range e.Cores {
 		fmt.Fprintf(&b, "\n  core %d: local=%d maxLocal=%d parked=%v retired=%v",
 			c.Core, c.LocalTime, c.MaxLocal, c.Parked, c.Retired)
@@ -88,7 +98,12 @@ func (e *StallError) attachTrace(r *trace.Ring) {
 // stallDump captures the state of a force-stopped run. It runs after every
 // goroutine has joined, so it reads the cores and the manager directly.
 func (r *parRun) stallDump() *StallError {
-	e := &StallError{Budget: r.cfg.StallTimeout, Global: r.global, GQDepth: len(r.gq)}
+	e := &StallError{Budget: r.cfg.StallTimeout, Global: r.global, GQDepth: len(r.gq), Round: r.round.Load()}
+	for w := 1; w < r.workers; w++ {
+		if r.slots[w].round.Load() < e.Round {
+			e.Behind = append(e.Behind, w)
+		}
+	}
 	for i, c := range r.m.cores {
 		e.Cores = append(e.Cores, CoreStall{
 			Core:      i,

@@ -24,39 +24,49 @@ summary() {
 
 fail=0
 
-# 1. One run of the whole suite over the whole module (offline: loads and
-#    type-checks every package from source once, fixtures excluded). The
-#    interprocedural analyzers see whole-module summaries. The job
-#    summary's per-analyzer counts are taken from this run's findings,
-#    which read "<file>:<line>:<col>: <analyzer>: <message>".
-echo "==> slacksimlint ./..."
-if out=$("./$BIN" . 2>&1); then
-  echo "clean"
-else
+# 1. One run of the whole suite over the whole module, with the waiver
+#    audit (offline: loads and type-checks every package from source
+#    once, fixtures excluded). The interprocedural analyzers see
+#    whole-module summaries. Findings read
+#    "<file>:<line>:<col>: <analyzer>: <message>"; the waiver inventory
+#    that follows reads "<file>:<line>: <analyzers> -- <reason>", every
+#    //lint:allow must carry a reason and still suppress something, and
+#    a stale or unjustified one is tagged [UNUSED] or [NO REASON]. The
+#    job summary's per-analyzer counts are taken from the findings.
+echo "==> slacksimlint -allows ./..."
+status=0
+out=$("./$BIN" -allows . 2>&1) || status=$?
+findings=$(printf '%s\n' "$out" | grep -E '^[^ ]+:[0-9]+:[0-9]+: ' || true)
+waivers=$(printf '%s\n' "$out" | grep -E '^[^ ]+:[0-9]+: [A-Za-z0-9_,]+ -- ' || true)
+bad=$(printf '%s\n' "$waivers" | grep -E '\[(UNUSED|NO REASON)' || true)
+if [ -n "$findings" ]; then
+  fail=1
+  echo "$findings"
+  summary "## slacksimlint findings" '' '```' "$findings" '```'
+elif [ "$status" -ne 0 ] && [ -z "$bad" ]; then
+  # Neither a finding nor a bad waiver: an operational error.
   fail=1
   echo "$out"
-  summary "## slacksimlint findings" '' '```' "$out" '```'
+  summary "## slacksimlint failed" '' '```' "$out" '```'
+else
+  echo "findings: clean"
 fi
 counts=""
 for a in $("./$BIN" -list | awk '{print $1}') lintdirective; do
-  n=$(printf '%s\n' "$out" | grep -c ": $a: " || true)
+  n=$(printf '%s\n' "$findings" | grep -c ": $a: " || true)
   counts="$counts| $a | $n |"$'\n'
 done
 summary "## slacksimlint findings per analyzer" '' \
         '| analyzer | findings |' '| --- | --- |' "$counts"
-
-# 2. Waiver inventory: every //lint:allow must carry a reason and must
-#    still suppress something. Stale or unjustified waivers fail.
-echo "==> slacksimlint -allows (waiver inventory)"
-if ! out=$("./$BIN" -allows . 2>&1); then
+if [ -n "$bad" ]; then
   fail=1
-  echo "$out"
-  summary "## stale or unjustified //lint:allow directives" '' '```' "$out" '```'
+  echo "$bad"
+  summary "## stale or unjustified //lint:allow directives" '' '```' "$bad" '```'
 else
-  echo "clean ($(printf '%s\n' "$out" | grep -c . || true) waivers, all used and justified)"
+  echo "waivers: clean ($(printf '%s\n' "$waivers" | grep -c . || true) waivers, all used and justified)"
 fi
 
-# 3. govulncheck, when installed (the container image may not ship it;
+# 2. govulncheck, when installed (the container image may not ship it;
 #    network installs are not assumed).
 if command -v govulncheck >/dev/null 2>&1; then
   echo "==> govulncheck ./..."
